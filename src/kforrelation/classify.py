@@ -13,14 +13,17 @@ Two classifiers, both using the instance circuit U_F(x) as the feature map
   state the negative training circuit produces.
 
 Every probability is available exactly (statevector) or as a shot-sampled
-frequency; shots=None selects exact mode throughout.
+frequency; shots=None selects exact mode throughout.  Every circuit is
+simulated on the union of its function supports only (see
+forrelation.simulate_reduced), so no call builds a 2^n vector.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .forrelation import EncodedSample, build_circuit, decode, simulate_instance
+from .forrelation import EncodedSample, build_circuit, decode, restrict, simulate_reduced, simulated_qubits
 from .qstate import apply_circuit, index_to_bits, init_zero, sample_measurements
 
 VQC_BIAS_LOWER = 7 / 25
@@ -67,8 +70,10 @@ def _zero_probability(state, shots: int | None, seed: int) -> float:
 
 def vqc_probability(sample: EncodedSample, shots: int | None = None, seed: int = 0) -> float:
     """p0(x) = |<0...0| U_F(x) |0...0>|^2, exact or shot-estimated."""
-    state = simulate_instance(decode(sample))
-    return _zero_probability(state, shots, seed)
+    red = simulate_reduced(decode(sample))
+    if shots is None:
+        return red.probability(0)
+    return red.sample(shots, seed)["0" * sample.n] / shots
 
 
 def vqc_classify(sample: EncodedSample, model: VqcModel) -> int:
@@ -82,12 +87,16 @@ def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed:
 
     Computed as the |0...0> probability of U_F(xi)^dagger U_F(xj) |0...0>;
     the adjoint is the reversed gate list because Hadamard layers and phase
-    flips are self-inverse.
+    flips are self-inverse.  The circuit runs on the union of both samples'
+    supports: it has 2k+2 Hadamard layers, so every other qubit returns to
+    |0> and contributes a factor of exactly 1.
     """
     if (xi.n, xi.k) != (xj.n, xj.k):
         raise ValueError(f"kernel arguments disagree on shape: ({xi.n},{xi.k}) vs ({xj.n},{xj.k})")
-    gates = build_circuit(decode(xj)) + list(reversed(build_circuit(decode(xi))))
-    state = apply_circuit(init_zero(xi.n), gates)
+    fi, fj = decode(xi), decode(xj)
+    qubits = simulated_qubits(fi, fj)
+    gates = build_circuit(restrict(fj, qubits)) + list(reversed(build_circuit(restrict(fi, qubits))))
+    state = apply_circuit(init_zero(len(qubits)), gates)
     value = _zero_probability(state, shots, seed)
     if value > 1.0 + 1e-12:
         raise RuntimeError(f"kernel value exceeds 1: {value!r}")
@@ -125,7 +134,9 @@ def qsvm_train(
     """Closed-form dual solution for the two training samples.
 
     alpha = min(1/(1 - k12), box_c); bias defaults to the midpoint of the
-    separating interval (7*alpha/25, 4999*alpha/5000).
+    separating interval (7*alpha/25, 4999*alpha/5000).  Also computes the
+    QSVM target z of x_minus (see negative_target_index), so a
+    non-constructive x_minus is rejected here with ValueError.
     """
     if box_c <= 0:
         raise ValueError(f"box_c must be > 0, got {box_c}")
@@ -136,6 +147,7 @@ def qsvm_train(
         )
     alpha = min(1.0 / (1.0 - k12), box_c)
     bias = alpha * 0.5 * (VQC_BIAS_LOWER + VQC_BIAS_UPPER)
+    _target_index(x_minus)  # simulate the target once, at training time
     return DualSolution(alpha, bias, x_plus, x_minus, box_c)
 
 
@@ -143,12 +155,18 @@ def negative_target_index(x_minus: EncodedSample) -> int:
     """Basis state the negative training circuit maps |0...0> to.
 
     Requires an engineered negative sample (final state a computational
-    basis state up to sign); raises otherwise.
+    basis state up to sign); raises otherwise.  The value is memoised per
+    sample, and qsvm_train computes it, so classifying against a trained
+    solution never re-simulates x_minus.
     """
-    state = simulate_instance(decode(x_minus))
-    p = state.probabilities()
-    z = int(p.argmax())
-    if abs(p[z] - 1.0) > 1e-12 or z == 0:
+    return _target_index(x_minus)
+
+
+@lru_cache(maxsize=16)
+def _target_index(x_minus: EncodedSample) -> int:
+    red = simulate_reduced(decode(x_minus))
+    z = red.full_index(int(red.state.probabilities().argmax()))
+    if abs(red.probability(z) - 1.0) > 1e-12 or z == 0:
         raise ValueError("x_minus is not a constructive negative sample")
     return z
 
@@ -165,15 +183,13 @@ def qsvm_classify(
     U_F(s)|0...0>; in sampled mode both come from the same shot batch.
     """
     z = negative_target_index(sol.x_minus)
-    state = simulate_instance(decode(s))
+    red = simulate_reduced(decode(s))
     if shots is None:
-        p = state.probabilities()
-        p0, pz = float(p[0]), float(p[z])
+        p0, pz = red.probability(0), red.probability(z)
     else:
-        counts = sample_measurements(state, shots, seed)
-        n = state.n_qubits
-        p0 = counts["0" * n] / shots
-        pz = counts[index_to_bits(z, n)] / shots
+        counts = red.sample(shots, seed)
+        p0 = counts["0" * s.n] / shots
+        pz = counts[index_to_bits(z, s.n)] / shots
     decision = sol.alpha * (p0 - pz) + sol.bias
     return 1 if decision > 0.0 else -1
 

@@ -5,9 +5,7 @@ Batch commands only; every command is deterministic for a given --seed
 record per line so CI can diff it.
 
 Exit codes: 0 success, 1 verification failure, 2 runtime or data error,
-64 usage error.  KFORRELATION_THREADS is accepted as a thread-count
-override; the simulation kernels are single-threaded, so it never changes
-results (checked by the determinism tests).
+64 usage error.
 """
 from __future__ import annotations
 
@@ -139,19 +137,9 @@ def cmd_classify(args) -> int:
 
 
 def _random_instance(rng, n, k):
-    support = _all_functions(n)
+    support = forrelation.restricted_functions(n)
     funcs = tuple(support[rng.integers(len(support))] for _ in range(k))
     return forrelation.ForrelationInstance(n, funcs)
-
-
-def _all_functions(n):
-    funcs = [forrelation.CONSTANT]
-    for size in (1, 2, 3):
-        funcs.extend(
-            forrelation.BooleanFunctionSpec(frozenset(c))
-            for c in itertools.combinations(range(1, n + 1), size)
-        )
-    return funcs
 
 
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
@@ -160,9 +148,10 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     max_dev = 0.0
     sweeps = [(n, k)] if n and k else [(2, 3), (3, 3)]
     for sn, sk in sweeps:
-        if len(_all_functions(sn)) ** sk > 4096:
+        functions = forrelation.restricted_functions(sn)
+        if len(functions) ** sk > 4096:
             raise ValueError(f"exhaustive sweep too large for n={sn}, k={sk}")
-        for funcs in itertools.product(_all_functions(sn), repeat=sk):
+        for funcs in itertools.product(functions, repeat=sk):
             inst = forrelation.ForrelationInstance(sn, funcs)
             max_dev = max(max_dev, abs(forrelation.phi_bruteforce(inst) - forrelation.phi_circuit(inst)))
     rng = np.random.default_rng(seed)
@@ -288,13 +277,14 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         forrelation.phi_circuit(inst)
         t1 = time.perf_counter()
-        print(json.dumps({"op": "phi_circuit", "n": n, "k": args.k,
+        print(json.dumps({"op": "phi_circuit", "n": n,
+                          "support_qubits": len(forrelation.simulated_qubits(inst)), "k": args.k,
                           "gates": 2 * args.k + 1, "seconds": t1 - t0}))
         sample = forrelation.encode(inst)
         t0 = time.perf_counter()
         forrelation.phi_fixed_ansatz(sample)
         t1 = time.perf_counter()
-        print(json.dumps({"op": "phi_fixed_ansatz", "n": n, "k": args.k,
+        print(json.dumps({"op": "phi_fixed_ansatz", "n": n, "support_qubits": n, "k": args.k,
                           "parameterized_gates": forrelation.ansatz_parameter_count(n, args.k),
                           "seconds": t1 - t0}))
     return EXIT_OK

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -34,8 +33,9 @@ from .forrelation import (
     encode,
     function_of,
     phi_circuit,
+    restricted_functions,
     sample_from_string,
-    simulate_instance,
+    simulate_reduced,
 )
 
 POSITIVE_PHI_MIN = 3 / 5
@@ -110,7 +110,7 @@ def make_positive_sample(n: int, k: int, i: int, j: int, l: int) -> LabeledSampl
     functions = [CONSTANT] * k
     functions[0] = functions[2] = function_of(i, j, l)
     inst = ForrelationInstance(n, tuple(functions))
-    amp0 = complex(simulate_instance(inst).amplitudes[0])
+    amp0 = simulate_reduced(inst).amplitude(0)
     if abs(amp0 - 1.0) > CONSTRUCTIVE_TOL:
         raise RuntimeError(f"positive construction failed: <0|U|0> = {amp0!r}")
     return LabeledSample(encode(inst), 1, 1.0, PROVENANCE_CONSTRUCTIVE)
@@ -132,23 +132,10 @@ def make_negative_sample(n: int, k: int, j: int, three_bits: Iterable[int]) -> L
     functions[0] = function_of(j)
     functions[1] = BooleanFunctionSpec(bits)
     inst = ForrelationInstance(n, tuple(functions))
-    p = simulate_instance(inst).probabilities()
-    target = 1 << (j - 1)
-    if abs(p[target] - 1.0) > CONSTRUCTIVE_TOL:
-        raise RuntimeError(f"negative construction failed: p[2^(j-1)] = {p[target]!r}")
+    p = simulate_reduced(inst).probability(1 << (j - 1))
+    if abs(p - 1.0) > CONSTRUCTIVE_TOL:
+        raise RuntimeError(f"negative construction failed: p[2^(j-1)] = {p!r}")
     return LabeledSample(encode(inst), -1, 0.0, PROVENANCE_CONSTRUCTIVE)
-
-
-@lru_cache(maxsize=None)
-def _function_support(n: int) -> tuple[BooleanFunctionSpec, ...]:
-    """All allowed functions over n bits: the constant plus every product of
-    1, 2 or 3 distinct bits (1 + C(n,1) + C(n,2) + C(n,3) entries)."""
-    funcs = [CONSTANT]
-    for size in (1, 2, 3):
-        funcs.extend(
-            BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size)
-        )
-    return tuple(funcs)
 
 
 def sample_random_instance(n: int, k: int, rng: np.random.Generator) -> ForrelationInstance:
@@ -159,7 +146,7 @@ def sample_random_instance(n: int, k: int, rng: np.random.Generator) -> Forrelat
         raise ValueError(f"the completeness condition needs n >= 3, got n = {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    support = _function_support(n)
+    support = restricted_functions(n)
     triples = [f for f in support if len(f.bits) == 3]
     for _ in range(100):
         functions = tuple(support[rng.integers(len(support))] for _ in range(k))
@@ -297,9 +284,12 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
     """Inverse of write_dataset.  An empty file is an empty dataset.
 
     Raises DatasetFormatError (with the offending line number) on malformed
-    JSON, malformed blocks, or label/phi inconsistencies.
+    JSON, malformed blocks, label/phi inconsistencies, or a record whose
+    (n, k) differs from the header's or, without a header, from the first
+    record's.
     """
     spec: DatasetSpec | None = None
+    shape: tuple[int, int] | None = None
     samples: list[LabeledSample] = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -317,11 +307,19 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
                     spec = DatasetSpec(**obj)
                 except (TypeError, ValueError) as exc:
                     raise DatasetFormatError(lineno, f"bad header: {exc}") from exc
+                shape = (spec.n, spec.k)
                 continue
             try:
                 sample = sample_from_string(int(obj["n"]), int(obj["k"]), obj["bits"])
                 labeled = LabeledSample(sample, int(obj["label"]), float(obj["phi"]), obj["provenance"])
             except (KeyError, TypeError, ValueError, MalformedSampleError) as exc:
                 raise DatasetFormatError(lineno, str(exc)) from exc
+            if shape is None:
+                shape = (sample.n, sample.k)
+            elif (sample.n, sample.k) != shape:
+                source = "the header" if spec is not None else "the first record"
+                raise DatasetFormatError(
+                    lineno, f"record has (n, k) = ({sample.n}, {sample.k}) but {source} has {shape}"
+                )
             samples.append(labeled)
     return spec, samples

@@ -10,17 +10,31 @@ tuple; it equals the |0...0> amplitude of the instance circuit
 and lies in [-1, 1].  This module provides:
 
 * the multi-hot sample encoding and its inverse,
+* restricted_functions - the allowed function family in its fixed order,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
-* phi_circuit     - statevector simulation of U_F,
-* phi_fixed_ansatz- simulation of the fixed polynomial-depth ansatz that
-  contains every <=3-qubit controlled-phase slot with data-selected angles,
+* phi_circuit     - statevector simulation of U_F on the support union only
+  (simulate_reduced),
+* phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
+  that contains every <=3-qubit controlled-phase slot with data-selected
+  angles,
 * oddk_extend     - parity-flipping instance extension built from the
   three-CZ SWAP gadget.
+
+Support reduction.  Each function touches at most three qubits, so U_F acts
+non-trivially only on the union S of the function supports (at most 3k
+qubits).  A qubit outside S ("free") sees nothing but the k+1 Hadamard
+layers: it ends in |0> for odd k and in |+> for even k.  simulate_reduced
+therefore simulates the instance on S alone (relabelled 1..m in increasing
+order) and reads every amplitude, probability or shot draw of the n-qubit
+state off that m-qubit state; the statevector cap applies to m, not n.
+phi_bruteforce and the fixed ansatz stay dense: they are the independent
+oracles the reduction is checked against.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -36,6 +50,7 @@ from .qstate import (
     hadamard_all,
     init_zero,
     phase_flip,
+    sample_measurements,
 )
 
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
@@ -85,6 +100,18 @@ def function_of(*bits: int) -> BooleanFunctionSpec:
 
 
 CONSTANT = function_of()
+
+
+@lru_cache(maxsize=None)
+def restricted_functions(n: int) -> tuple[BooleanFunctionSpec, ...]:
+    """All allowed functions over n bits: the constant, then every product of
+    1, 2 and 3 distinct bits in lexicographic order (1 + C(n,1) + C(n,2) +
+    C(n,3) entries).  The order is part of the contract: seeded draws index
+    into it and the fixed ansatz emits its slots in it."""
+    funcs = [CONSTANT]
+    for size in (1, 2, 3):
+        funcs.extend(BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size))
+    return tuple(funcs)
 
 
 @dataclass(frozen=True)
@@ -253,27 +280,150 @@ def build_circuit(inst: ForrelationInstance) -> list[Gate]:
     return gates
 
 
+def simulated_qubits(*instances: ForrelationInstance) -> tuple[int, ...]:
+    """The qubits a reduced simulation of these instances keeps: the sorted
+    union of their function supports, or qubit 1 alone when every function
+    is constant (a state needs at least one qubit)."""
+    qubits = set()
+    for inst in instances:
+        for f in inst.functions:
+            qubits |= f.bits
+    return tuple(sorted(qubits)) or (1,)
+
+
+def restrict(inst: ForrelationInstance, qubits: Sequence[int]) -> ForrelationInstance:
+    """The instance on ``qubits`` only (a sorted superset of its support),
+    qubit qubits[i] relabelled i+1."""
+    if len(qubits) == inst.n:  # every qubit kept: the relabelling is the identity
+        return inst
+    label = {q: i for i, q in enumerate(qubits, start=1)}
+    funcs = tuple(BooleanFunctionSpec(frozenset(label[b] for b in f.bits)) for f in inst.functions)
+    return ForrelationInstance(len(qubits), funcs)
+
+
+def _spread(qubits: Sequence[int]) -> np.ndarray:
+    """Full basis index of each basis index over ``qubits`` (bit i -> qubit qubits[i])."""
+    r = np.arange(1 << len(qubits), dtype=np.int64)
+    out = np.zeros_like(r)
+    for i, q in enumerate(qubits):
+        out |= ((r >> i) & 1) << (q - 1)
+    return out
+
+
+@dataclass(frozen=True)
+class ReducedState:
+    """U_F|0...0> of an n-qubit instance, held as the state on its simulated
+    qubits ``support`` (``state``, relabelled 1..m) times the free qubits'
+    product state: |0> each when ``free_in_plus`` is false (odd k), |+> each
+    when it is true (even k).  Nothing here builds a 2^n vector except
+    full_state."""
+
+    n: int
+    support: tuple[int, ...]
+    state: StateVector
+    free_in_plus: bool
+
+    @property
+    def free(self) -> list[int]:
+        """The qubits outside ``support``, in increasing order."""
+        return [q for q in range(1, self.n + 1) if q not in self.support]
+
+    @property
+    def free_scale(self) -> float:
+        """Factor the free qubits contribute to an amplitude that is not zero
+        for a free bit: 1 for |0>, 2^(-1/2) per qubit for |+>."""
+        return 2.0 ** (-0.5 * (self.n - len(self.support))) if self.free_in_plus else 1.0
+
+    def full_index(self, r: int) -> int:
+        """Full basis index of reduced index r, every free bit 0."""
+        z = 0
+        for i, q in enumerate(self.support):
+            z |= ((r >> i) & 1) << (q - 1)
+        return z
+
+    def amplitude(self, z: int) -> complex:
+        """<z| U_F |0...0> for a full n-qubit basis index z."""
+        if not 0 <= z < 1 << self.n:
+            raise ValueError(f"basis index {z} out of range for {self.n} qubits")
+        r = 0
+        for i, q in enumerate(self.support):
+            r |= ((z >> (q - 1)) & 1) << i
+        if not self.free_in_plus and z != self.full_index(r):
+            return 0j  # a free qubit in |0> has no weight on a set bit
+        return self.free_scale * complex(self.state.amplitudes[r])
+
+    def probability(self, z: int) -> float:
+        a = self.amplitude(z)
+        return a.real * a.real + a.imag * a.imag
+
+    def sample(self, shots: int, seed: int) -> Counter:
+        """Shot draws of the full state, as sample_measurements would give
+        them: a Counter of qubit-1-first n-bit strings.
+
+        The simulated qubits are drawn by sample_measurements on ``state``
+        and spread back to their positions.  Free qubits in |0> read 0, so
+        the draws equal those of the dense state with the same seed.  Free
+        qubits in |+> are fair bits drawn afterwards from the same
+        generator.
+        """
+        if len(self.support) == self.n:
+            return sample_measurements(self.state, shots, seed)
+        rng = np.random.default_rng(seed)
+        counts = sample_measurements(self.state, shots, rng)
+        free = self.free
+        out: Counter = Counter()
+        for bits, c in counts.items():
+            chars = ["0"] * self.n
+            for q, b in zip(self.support, bits):
+                chars[q - 1] = b
+            if not self.free_in_plus:
+                out["".join(chars)] += c
+                continue
+            for row in rng.integers(0, 2, size=(c, len(free))):
+                for q, b in zip(free, row):
+                    chars[q - 1] = "1" if b else "0"
+                out["".join(chars)] += 1
+        return out
+
+    def full_state(self) -> StateVector:
+        """The 2^n-amplitude state (for tests and verification); the n-qubit
+        statevector cap applies."""
+        if len(self.support) == self.n:
+            return self.state
+        full = init_zero(self.n)
+        index = _spread(self.support)
+        amps = self.state.amplitudes
+        if self.free_in_plus:
+            free = self.free
+            index = (index[:, None] | _spread(free)[None, :]).ravel()
+            amps = np.repeat(amps * self.free_scale, 1 << len(free))
+        full.amplitudes[index] = amps  # index[0] == 0 overwrites the initial |0...0>
+        return full
+
+
+def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
+    """U_F |0...0> simulated on simulated_qubits(inst) only.  The
+    statevector cap applies to that qubit count, not to n."""
+    support = simulated_qubits(inst)
+    state = apply_circuit(init_zero(len(support)), build_circuit(restrict(inst, support)))
+    return ReducedState(inst.n, support, state, free_in_plus=inst.k % 2 == 0)
+
+
 def simulate_instance(inst: ForrelationInstance) -> StateVector:
-    """Final state U_F |0...0>."""
-    return apply_circuit(init_zero(inst.n), build_circuit(inst))
+    """Final state U_F |0...0> on all n qubits, embedded from simulate_reduced."""
+    return simulate_reduced(inst).full_state()
 
 
 def phi_circuit(inst: ForrelationInstance) -> float:
-    """Phi as the |0...0> amplitude of the simulated instance circuit."""
-    return _phi_from_state(simulate_instance(inst))
+    """Phi as the |0...0> amplitude of the instance circuit, simulated on the
+    support union: the reduced amplitude times the free qubits' factor."""
+    red = simulate_reduced(inst)
+    return _checked_phi(red.free_scale * _phi_from_state(red.state))
 
 
 # ---------------------------------------------------------------------------
 # Fixed ansatz: every <=3-qubit controlled-phase slot, angles selected by the
 # encoded block.
-
-
-@lru_cache(maxsize=None)
-def _ansatz_slots(n: int) -> tuple[tuple[int, ...], ...]:
-    slots = []
-    for size in (1, 2, 3):
-        slots.extend(itertools.combinations(range(1, n + 1), size))
-    return tuple(slots)
 
 
 def ansatz_parameter_count(n: int, k: int) -> int:
@@ -289,13 +439,12 @@ def build_fixed_ansatz(sample: EncodedSample) -> list[Gate]:
     in J} (1 - x_l)).  All slots are always emitted; the skeleton never
     depends on the data.
     """
-    n = sample.n
+    slots = restricted_functions(sample.n)[1:]
     gates = [hadamard_all()]
     for i in range(sample.k):
         ones = frozenset(j + 1 for j, b in enumerate(sample.block(i)) if b)
-        for slot in _ansatz_slots(n):
-            angle = math.pi if frozenset(slot) == ones else 0.0
-            gates.append(controlled_phase(slot, angle))
+        for slot in slots:
+            gates.append(controlled_phase(slot.bits, math.pi if slot.bits == ones else 0.0))
         gates.append(hadamard_all())
     return gates
 

@@ -235,10 +235,12 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     return state
 
 
-def sample_measurements(state: StateVector, shots: int, seed: int) -> Counter:
+def sample_measurements(state: StateVector, shots: int, seed: int | np.random.Generator) -> Counter:
     """shots i.i.d. computational-basis draws; deterministic for a given seed.
 
-    Returns a Counter mapping qubit-1-first bitstrings to counts.
+    A Generator passed as ``seed`` is drawn from directly, so a caller can
+    continue its stream afterwards.  Returns a Counter mapping
+    qubit-1-first bitstrings to counts.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")

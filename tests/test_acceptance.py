@@ -18,7 +18,7 @@ import pytest
 import kforrelation as kf
 from kforrelation import cli
 from kforrelation.classify import VQC_BIAS_LOWER, VQC_BIAS_UPPER, default_bias, dual_objective
-from kforrelation.datagen import _function_support
+from kforrelation.forrelation import restricted_functions
 
 
 def report(num, ok, detail):
@@ -26,12 +26,8 @@ def report(num, ok, detail):
     return ok
 
 
-def all_functions(n):
-    return list(_function_support(n))
-
-
 def random_instance(rng, n, k):
-    support = all_functions(n)
+    support = restricted_functions(n)
     return kf.ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
 
 
@@ -55,7 +51,7 @@ def test_criterion_1_oracle_equivalence():
     max_dev = 0.0
     # exhaustive at n=2, k=3 (64 instances) and n=3, k=3 (512 instances)
     for n in (2, 3):
-        for funcs in itertools.product(all_functions(n), repeat=3):
+        for funcs in itertools.product(restricted_functions(n), repeat=3):
             inst = kf.ForrelationInstance(n, funcs)
             max_dev = max(max_dev, abs(kf.phi_bruteforce(inst) - kf.phi_circuit(inst)))
     # >= 500 random instances, n <= 4, k*n <= 16

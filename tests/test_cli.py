@@ -114,6 +114,27 @@ def test_classify_missing_file_is_runtime_error(tmp_path, capsys):
     assert "cannot read dataset" in stderr
 
 
+def test_classify_mixed_shape_dataset_is_runtime_error(dataset, tmp_path, capsys):
+    argv, other = gen_args(tmp_path, name="n4.jsonl", n=4)
+    assert run_cli(argv, capsys)[0] == 0
+    lines = open(dataset).read().splitlines(keepends=True)
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(lines) + open(other).read().splitlines(keepends=True)[1])
+    code, stdout, stderr = run_cli(["classify", "--data", str(mixed), "--mode", "qsvm"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert f"line {len(lines) + 1}" in stderr
+
+
+def test_classify_header_only_dataset(tmp_path, capsys):
+    path = tmp_path / "header.jsonl"
+    path.write_text('{"n": 4, "k": 3, "count_pos": 0, "count_neg": 0, "seed": 0, "max_rejection_tries": 1}\n')
+    code, stdout, _ = run_cli(["classify", "--data", str(path)], capsys)
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["samples"] == 0 and summary["accuracy"] is None
+
+
 def test_classify_mode_validation(dataset, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["classify", "--data", dataset, "--mode", "nonsense"])
@@ -163,3 +184,5 @@ def test_bench_rows_parse_and_count_gates(capsys):
     assert ansatz3["parameterized_gates"] == 21
     direct = next(r for r in rows if r["op"] == "phi_circuit" and r["n"] == 3)
     assert direct["gates"] == 7
+    assert all(1 <= r["support_qubits"] <= r["n"] for r in rows)
+    assert ansatz3["support_qubits"] == 3

@@ -10,7 +10,6 @@ from kforrelation.datagen import (
     DatasetSpec,
     GenerationError,
     LabeledSample,
-    _function_support,
     generate_dataset,
     make_negative_sample,
     make_positive_sample,
@@ -18,7 +17,7 @@ from kforrelation.datagen import (
     sample_random_instance,
     write_dataset,
 )
-from kforrelation.forrelation import decode, phi_circuit, simulate_instance
+from kforrelation.forrelation import decode, phi_circuit, restricted_functions, simulate_instance
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_labeled_sample_invariants():
 
 
 def test_function_support_size_n3():
-    assert len(_function_support(3)) == 8  # 1 + 3 + 3 + 1
+    assert len(restricted_functions(3)) == 8  # 1 + 3 + 3 + 1
 
 
 def test_random_instance_determinism():
@@ -255,3 +254,32 @@ def test_phi_serialized_at_full_precision(tmp_path):
     _, back = read_dataset(str(path))
     for a, b in zip(samples, back):
         assert a.phi == b.phi  # 17 significant digits round-trips doubles
+
+
+HEADER_N4 = '{"n": 4, "k": 3, "count_pos": 1, "count_neg": 1, "seed": 0, "max_rejection_tries": 1}\n'
+RECORD_N4 = '{"n": 4, "k": 3, "bits": "111000000111", "label": 1, "phi": "1", "provenance": "constructive"}\n'
+RECORD_N3 = '{"n": 3, "k": 3, "bits": "111000111", "label": 1, "phi": "1", "provenance": "constructive"}\n'
+RECORD_K5 = '{"n": 4, "k": 5, "bits": "11100000011100000000", "label": 1, "phi": "1", "provenance": "constructive"}\n'
+
+
+@pytest.mark.parametrize("lines,bad_line", [
+    ([HEADER_N4, RECORD_N4, RECORD_N3], 3),   # n differs from the header
+    ([HEADER_N4, RECORD_K5], 2),              # k differs from the header
+    ([RECORD_N4, RECORD_N4, RECORD_N3], 3),   # no header: n differs from the first record
+    ([RECORD_N3, RECORD_N4], 2),
+])
+def test_read_rejects_mixed_shapes(tmp_path, lines, bad_line):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetFormatError) as err:
+        read_dataset(str(path))
+    assert err.value.line_number == bad_line
+    assert "(n, k)" in str(err.value)
+
+
+def test_read_header_only_file(tmp_path):
+    path = tmp_path / "header.jsonl"
+    path.write_text(HEADER_N4)
+    spec, samples = read_dataset(str(path))
+    assert spec == DatasetSpec(n=4, k=3, count_pos=1, count_neg=1, seed=0, max_rejection_tries=1)
+    assert samples == []

@@ -23,6 +23,7 @@ from kforrelation.forrelation import (
     phi_bruteforce,
     phi_circuit,
     phi_fixed_ansatz,
+    restricted_functions,
     sample_from_string,
     simulate_fixed_ansatz,
     simulate_instance,
@@ -30,15 +31,8 @@ from kforrelation.forrelation import (
 from kforrelation.qstate import CapacityError, GateKind, equal_up_to_global_phase, hadamard_all, swap, unitary_of
 
 
-def all_functions(n):
-    funcs = [CONSTANT]
-    for size in (1, 2, 3):
-        funcs.extend(BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size))
-    return funcs
-
-
 def random_instance(rng, n, k):
-    support = all_functions(n)
+    support = restricted_functions(n)
     return ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
 
 
@@ -104,7 +98,7 @@ def test_four_ones_block_rejected():
 def test_roundtrip_exhaustive_small():
     for n in (1, 2, 3):
         for k in (1, 2, 3):
-            for funcs in itertools.product(all_functions(n), repeat=k):
+            for funcs in itertools.product(restricted_functions(n), repeat=k):
                 inst = ForrelationInstance(n, funcs)
                 assert decode(encode(inst)) == inst
 
@@ -175,7 +169,7 @@ def test_all_constant_circuit_is_identity_on_zero():
 
 def test_oracle_equivalence_exhaustive_n2():
     for k in (1, 2, 3):
-        for funcs in itertools.product(all_functions(2), repeat=k):
+        for funcs in itertools.product(restricted_functions(2), repeat=k):
             inst = ForrelationInstance(2, funcs)
             assert abs(phi_bruteforce(inst) - phi_circuit(inst)) <= 1e-10
 

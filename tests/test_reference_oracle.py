@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from kforrelation.forrelation import (
-    CONSTANT,
-    BooleanFunctionSpec,
     ForrelationInstance,
     _parity,
     phi_bruteforce,
     phi_circuit,
+    restricted_functions,
 )
 
 
@@ -31,15 +30,8 @@ def phi_naive(inst):
     return total / math.sqrt(float(1 << ((k + 1) * n)))
 
 
-def all_functions(n):
-    funcs = [CONSTANT]
-    for size in (1, 2, 3):
-        funcs.extend(BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size))
-    return funcs
-
-
 def test_naive_matches_bruteforce_exhaustive_n2_k2():
-    for funcs in itertools.product(all_functions(2), repeat=2):
+    for funcs in itertools.product(restricted_functions(2), repeat=2):
         inst = ForrelationInstance(2, funcs)
         assert phi_bruteforce(inst) == pytest.approx(phi_naive(inst), abs=1e-13)
 
@@ -50,7 +42,7 @@ def test_naive_matches_both_paths_random(seed):
     for _ in range(15):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        support = all_functions(n)
+        support = restricted_functions(n)
         inst = ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
         expected = phi_naive(inst)
         assert phi_bruteforce(inst) == pytest.approx(expected, abs=1e-13)
@@ -69,7 +61,7 @@ def test_bruteforce_chunk_independence(monkeypatch):
     # invisible; force pathological chunk sizes through the real code path
     import kforrelation.forrelation as fo
 
-    inst = ForrelationInstance(3, tuple(all_functions(3)[i] for i in (7, 3, 5, 1)))
+    inst = ForrelationInstance(3, tuple(restricted_functions(3)[i] for i in (7, 3, 5, 1)))
     reference = phi_bruteforce(inst)
     for chunk in (1, 7, 64, 1 << 12):
         monkeypatch.setattr(fo, "BRUTE_FORCE_CHUNK", chunk)

@@ -1,0 +1,203 @@
+"""Support-reduced simulation against the dense paths.
+
+phi_circuit, vqc_probability, kernel and qsvm_classify simulate only the
+union of the function supports.  These tests compare them with the dense
+fixed ansatz (all n qubits), with phi_bruteforce, and with a reduction done
+by hand, over random instances that include even k, empty supports and full
+supports.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kforrelation.classify import DualSolution, kernel, negative_target_index, qsvm_classify, vqc_probability
+from kforrelation.datagen import make_negative_sample, make_positive_sample
+from kforrelation.forrelation import (
+    CONSTANT,
+    ForrelationInstance,
+    decode,
+    encode,
+    function_of,
+    instance_of,
+    phi_bruteforce,
+    phi_circuit,
+    restrict,
+    restricted_functions,
+    simulate_fixed_ansatz,
+    simulate_instance,
+    simulate_reduced,
+    simulated_qubits,
+)
+from kforrelation.qstate import CapacityError, index_to_bits, init_zero, sample_measurements
+
+BRUTE_FORCE_BITS = 16   # k*n at which the exhaustive sum still takes milliseconds
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def instances(draw, n=st.integers(1, 8), k=st.integers(1, 6)):
+    n, k = draw(n), draw(k)
+    funcs = restricted_functions(n)
+    picks = draw(st.lists(st.integers(0, len(funcs) - 1), min_size=k, max_size=k))
+    return ForrelationInstance(n, tuple(funcs[i] for i in picks))
+
+
+def cut(inst):
+    """The instance on its support union by hand, and the factor the free
+    qubits contribute to Phi: 1 each for odd k (H^(k+1) = I), 2^-1/2 each
+    for even k (H^(k+1) = H)."""
+    support = sorted(set().union(*(f.bits for f in inst.functions))) or [1]
+    label = {q: i + 1 for i, q in enumerate(support)}
+    funcs = tuple(function_of(*(label[b] for b in f.bits)) for f in inst.functions)
+    scale = 1.0 if inst.k % 2 else 2.0 ** (-0.5 * (inst.n - len(support)))
+    return ForrelationInstance(len(support), funcs), scale
+
+
+def check_against_dense(inst):
+    dense = simulate_fixed_ansatz(encode(inst)).amplitudes
+    phi = phi_circuit(inst)
+    assert phi == pytest.approx(dense[0].real, abs=1e-12)
+    if inst.k * inst.n <= BRUTE_FORCE_BITS:
+        assert phi == pytest.approx(phi_bruteforce(inst), abs=1e-12)
+    assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
+    red = simulate_reduced(inst)
+    for z in range(1 << inst.n):
+        assert red.amplitude(z) == pytest.approx(complex(dense[z]), abs=1e-12)
+
+
+@SETTINGS
+@given(instances())
+def test_reduced_matches_dense_and_bruteforce(inst):
+    check_against_dense(inst)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_all_constant_instance_keeps_one_qubit(n, k):
+    inst = ForrelationInstance(n, (CONSTANT,) * k)
+    assert simulated_qubits(inst) == (1,)
+    assert phi_circuit(inst) == pytest.approx(1.0 if k % 2 else 2.0 ** (-0.5 * n), abs=1e-15)
+    check_against_dense(inst)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_full_support_skips_relabelling(k):
+    funcs = [function_of(1, 2, 3), function_of(4, 5), function_of(6), CONSTANT][:k]
+    inst = ForrelationInstance(6 if k >= 3 else 5 if k == 2 else 3, tuple(funcs))
+    red = simulate_reduced(inst)
+    assert red.support == tuple(range(1, inst.n + 1))
+    assert restrict(inst, red.support) is inst
+    assert red.full_state() is red.state
+    check_against_dense(inst)
+
+
+@SETTINGS
+@given(instances(k=st.sampled_from([1, 3, 5])), st.integers(0, 2**32 - 1))
+def test_odd_k_shot_draws_equal_dense_draws(inst, seed):
+    dense = simulate_fixed_ansatz(encode(inst))
+    assert simulate_reduced(inst).sample(200, seed) == sample_measurements(dense, 200, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_even_k_shot_draws_follow_the_dense_distribution(seed):
+    inst = instance_of(6, {2, 5}, {2})         # free qubits 1, 3, 4, 6 end in |+>
+    p = simulate_fixed_ansatz(encode(inst)).probabilities()
+    shots = 20000
+    counts = simulate_reduced(inst).sample(shots, seed)
+    assert sum(counts.values()) == shots
+    eps = math.sqrt(math.log(2 / 1e-9) / (2 * shots))  # Hoeffding, per outcome
+    for z in range(64):
+        assert abs(counts[index_to_bits(z, 6)] / shots - p[z]) <= eps
+    assert all(p[int(bits[::-1], 2)] > 0 for bits in counts)
+
+
+@SETTINGS
+@given(instances(n=st.integers(3, 7), k=st.integers(1, 5)))
+def test_vqc_probability_matches_dense(inst):
+    p0 = abs(simulate_fixed_ansatz(encode(inst)).amplitudes[0]) ** 2
+    assert vqc_probability(encode(inst)) == pytest.approx(p0, abs=1e-12)
+
+
+def dense_kernel(xi, xj):
+    a = simulate_fixed_ansatz(xi).amplitudes
+    b = simulate_fixed_ansatz(xj).amplitudes
+    return abs(np.vdot(a, b)) ** 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kernel_on_disjoint_supports(k):
+    fi = [function_of(1, 2), function_of(2), CONSTANT, function_of(1)][:k]
+    fj = [function_of(5, 6, 7), CONSTANT, function_of(6), function_of(5, 7)][:k]
+    xi, xj = encode(ForrelationInstance(8, tuple(fi))), encode(ForrelationInstance(8, tuple(fj)))
+    assert simulated_qubits(decode(xi), decode(xj)) == (1, 2, 5, 6, 7)
+    assert kernel(xi, xj) == pytest.approx(dense_kernel(xi, xj), abs=1e-12)
+    assert kernel(xi, xj, shots=300, seed=4) == pytest.approx(kernel(xi, xj), abs=0.2)
+
+
+@st.composite
+def instance_pairs(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return draw(instances(st.just(n), st.just(k))), draw(instances(st.just(n), st.just(k)))
+
+
+@SETTINGS
+@given(instance_pairs())
+def test_kernel_matches_dense(pair):
+    xi, xj = encode(pair[0]), encode(pair[1])
+    assert kernel(xi, xj) == pytest.approx(dense_kernel(xi, xj), abs=1e-12)
+
+
+def test_qsvm_pz_is_zero_when_target_qubit_is_free():
+    # x_minus lands on z = 2^0 (qubit 1); the sample never touches qubit 1,
+    # so its qubit 1 ends in |0> and pz = 0 while p0 = 1.
+    pos = make_positive_sample(5, 3, 2, 3, 4).sample
+    neg = make_negative_sample(5, 3, 1, (1, 2, 3)).sample
+    z = negative_target_index(neg)
+    assert z == 1 and 1 not in simulated_qubits(decode(pos))
+    assert simulate_reduced(decode(pos)).probability(z) == 0.0
+    assert simulate_fixed_ansatz(pos).probabilities()[z] == 0.0
+    # decision = alpha * (p0 - pz) + bias: +0.5 when pz = 0, -0.5 were pz read as p0
+    sol = DualSolution(alpha=1.0, bias=-0.5, x_plus=pos, x_minus=neg, box_c=1.0)
+    assert qsvm_classify(pos, sol) == 1
+    assert qsvm_classify(pos, sol, shots=100, seed=1) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qsvm_decisions_match_dense_probabilities(seed):
+    rng = np.random.default_rng(seed)
+    neg = make_negative_sample(6, 3, 4, (1, 2, 3)).sample
+    z = negative_target_index(neg)
+    funcs = restricted_functions(6)
+    for _ in range(20):
+        s = encode(ForrelationInstance(6, tuple(funcs[rng.integers(len(funcs))] for _ in range(3))))
+        p = simulate_fixed_ansatz(s).probabilities()
+        bias = float(rng.uniform(-0.5, 0.5))
+        sol = DualSolution(alpha=1.0, bias=bias, x_plus=s, x_minus=neg, box_c=1.0)
+        decision = p[0] - p[z] + bias
+        if abs(decision) > 1e-9:
+            assert qsvm_classify(s, sol) == (1 if decision > 0 else -1)
+
+
+def test_phi_circuit_at_n40_beyond_the_state_cap():
+    inst = instance_of(40, {1, 17, 40}, {17, 25}, {2, 33, 40})
+    small, scale = cut(inst)
+    assert small.n == 6 and scale == 1.0
+    assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), abs=1e-12)
+    even = instance_of(40, {1, 17, 40}, {17, 25})
+    small, scale = cut(even)
+    assert phi_circuit(even) == pytest.approx(scale * phi_bruteforce(small), abs=1e-15)
+    with pytest.raises(CapacityError):
+        init_zero(27)
+    with pytest.raises(CapacityError):
+        simulate_instance(inst)   # the full state is still capped
+
+
+@SETTINGS
+@given(instances(n=st.integers(9, 40), k=st.integers(1, 4)))
+def test_large_n_phi_equals_scaled_cut_bruteforce(inst):
+    small, scale = cut(inst)
+    if small.n * small.k <= BRUTE_FORCE_BITS:
+        assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), abs=1e-12)
