@@ -79,6 +79,11 @@ def _validate_gen_args(parser, args) -> None:
         parser.error("--pos and --neg must be >= 0")
 
 
+def _validate_verify_args(parser, args) -> None:
+    if (args.n is None) != (args.k is None):
+        parser.error("--n and --k scope the oracle sweep together: give both or neither")
+
+
 def cmd_gen(args) -> int:
     spec = datagen.DatasetSpec(args.n, args.k, args.pos, args.neg, args.seed, args.tries)
     try:
@@ -146,7 +151,7 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     """phi_bruteforce vs phi_circuit: exhaustive at (n=2,k=3) and (n=3,k=3)
     unless scoped, plus randomised draws with k*n <= 16."""
     max_dev = 0.0
-    sweeps = [(n, k)] if n and k else [(2, 3), (3, 3)]
+    sweeps = [(n, k)] if n is not None and k is not None else [(2, 3), (3, 3)]
     for sn, sk in sweeps:
         functions = forrelation.restricted_functions(sn)
         if len(functions) ** sk > 4096:
@@ -295,6 +300,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen":
         _validate_gen_args(parser, args)
+    elif args.command == "verify":
+        _validate_verify_args(parser, args)
     try:
         return args.func(args)
     except (qstate.CapacityError, ValueError) as exc:

@@ -230,7 +230,9 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], Generation
             f"rejection sampling exhausted {spec.max_rejection_tries} tries with {need_neg} negatives missing"
         )
 
-    bins = np.histogram(np.asarray(phis), bins=20, range=(-1.0, 1.0))[0] if phis else np.zeros(20, int)
+    # Phi is often exactly 0 or 0.5, both bin edges: rounding first files such
+    # a value by its exact value, not by the sign of its rounding residue.
+    bins = np.histogram(np.round(phis, 12), bins=20, range=(-1.0, 1.0))[0] if phis else np.zeros(20, int)
     report = GenerationReport(
         tries=tries,
         accepted_pos=accepted_pos,

@@ -15,6 +15,13 @@ Conventions (fixed; everything downstream assumes them):
   for constant Boolean functions.
 * ControlledPhase(targets, pi) is computed with an exact -1 factor so it
   coincides bit-for-bit with PhaseFlip(targets).
+* Amplitudes are real (float64): Hadamard layers, +-1 phases and SWAP keep
+  a real state real.  apply_gate promotes a state to complex128 only for a
+  controlled phase whose factor is not +-1; unitary_of is always complex.
+
+A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
++-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
+scale.
 """
 from __future__ import annotations
 
@@ -26,9 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-MAX_QUBITS = 26          # 2^26 complex amplitudes = 1 GiB; refuse above
+MAX_QUBITS = 26          # 2^26 float64 amplitudes = 512 MiB; refuse above
 UNITARY_MAX_QUBITS = 6   # dense-matrix construction is for verification only
 NORM_TOL = 1e-12
+WHT_BLOCK_QUBITS = 6     # qubits per Hadamard matmul: a 64 x 64 matrix, 32 KiB
+WHT_SLAB = 1 << 16       # amplitudes per matmul call, so the temporary stays small
 
 
 class CapacityError(ValueError):
@@ -89,7 +98,8 @@ def swap(a: int, b: int) -> Gate:
 
 @dataclass
 class StateVector:
-    """2^n complex amplitudes with unit norm.
+    """2^n amplitudes with unit norm: float64, or complex128 once a
+    controlled phase other than +-1 has been applied.
 
     A value type: move it freely between threads, mutate from one writer.
     Gate application updates ``amplitudes`` in place.
@@ -103,14 +113,16 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         a = self.amplitudes
-        return a.real * a.real + a.imag * a.imag
+        if np.iscomplexobj(a):
+            return a.real * a.real + a.imag * a.imag
+        return a * a
 
 
 def init_zero(n: int) -> StateVector:
     """Prepare |0...0> on n qubits."""
     if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
         raise CapacityError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    amp = np.zeros(1 << n, dtype=np.complex128)
+    amp = np.zeros(1 << n)
     amp[0] = 1.0
     return StateVector(n, amp)
 
@@ -139,21 +151,47 @@ def amplitude(state: StateVector, z: str) -> complex:
 
 
 def _check_norm(amp: np.ndarray) -> None:
-    nrm = float(np.einsum("i,i->", amp.real, amp.real) + np.einsum("i,i->", amp.imag, amp.imag))
+    nrm = float(np.vdot(amp, amp).real)
     if abs(nrm - 1.0) > NORM_TOL:
         raise RuntimeError(f"statevector norm drifted: sum |a|^2 = {nrm!r}")
 
 
+def _sylvester(qubits: int) -> np.ndarray:
+    """The +-1 Sylvester-Hadamard matrix of order 2^qubits: entry (x, y) is
+    (-1)^popcount(x & y).  Symmetric; each order is the top-left corner of
+    the next."""
+    h = np.ones((1, 1))
+    for _ in range(qubits):
+        h = np.kron([[1.0, 1.0], [1.0, -1.0]], h)
+    return h
+
+
+_SYLVESTER = _sylvester(WHT_BLOCK_QUBITS)
+
+
 def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
-    # n butterfly passes, one per qubit, no intermediate allocations.
-    for q in range(n):
-        h = 1 << q
-        view = amp.reshape(-1, 2, h)
-        top = view[:, 0, :]
-        bot = view[:, 1, :]
-        top += bot          # a+b
-        bot *= -2.0
-        bot += top          # (a+b) - 2b = a-b
+    # Qubits low+1..low+c form axis 1 of amp.reshape(-1, 2^c, 2^low); H on
+    # all of them is the +-1 matrix applied along that axis.  Slabs cap the
+    # matmul temporary at WHT_SLAB amplitudes.
+    low = 0
+    while low < n:
+        c = min(WHT_BLOCK_QUBITS, n - low)
+        h = _SYLVESTER[: 1 << c, : 1 << c]
+        if low == 0:  # contiguous axis: rows times h (h is symmetric)
+            view = amp.reshape(-1, 1 << c)
+            rows = WHT_SLAB >> c
+            for r in range(0, view.shape[0], rows):
+                blk = view[r : r + rows]
+                blk[...] = blk @ h
+        else:
+            view = amp.reshape(-1, 1 << c, 1 << low)
+            rows = max(1, WHT_SLAB >> (c + low))
+            cols = min(1 << low, WHT_SLAB >> c)
+            for o in range(0, view.shape[0], rows):
+                for i in range(0, view.shape[2], cols):
+                    blk = view[o : o + rows, :, i : i + cols]
+                    blk[...] = h @ blk
+        low += c
     amp *= 2.0 ** (-0.5 * n)
 
 
@@ -222,8 +260,12 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, updating the state in place.  Returns the same object.
 
     Norm is re-checked after every application (|1 - sum|a|^2| <= 1e-12).
+    A controlled phase whose factor is not +-1 first promotes a real state
+    to complex128, replacing ``state.amplitudes``.
     """
     _validate_gate(gate, state.n_qubits)
+    if gate.kind is GateKind.CONTROLLED_PHASE and isinstance(_phase_factor(gate.angle), complex):
+        state.amplitudes = state.amplitudes.astype(np.complex128, copy=False)
     if _apply_inplace(state.amplitudes, state.n_qubits, gate):
         _check_norm(state.amplitudes)
     return state

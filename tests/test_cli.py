@@ -160,6 +160,14 @@ def test_verify_scoped_oracle_sweep(capsys):
     assert any(l.startswith("PASS oracle_equivalence") for l in stdout.splitlines())
 
 
+@pytest.mark.parametrize("half", [["--n", "5"], ["--k", "3"]])
+def test_verify_half_given_scope_is_usage_error(half, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", *half, "--trials", "2"])
+    assert err.value.code == 64
+    assert "--n and --k" in capsys.readouterr().err
+
+
 def test_verify_injected_fault_exits_one(capsys, monkeypatch):
     def broken(**_):
         return False, 1.0

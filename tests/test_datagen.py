@@ -1,8 +1,10 @@
 import filecmp
+import math
 
 import numpy as np
 import pytest
 
+from kforrelation import datagen
 from kforrelation.datagen import (
     NEGATIVE_PHI_MAX,
     POSITIVE_PHI_MIN,
@@ -128,6 +130,24 @@ def test_generate_dataset_example_spec():
             assert phi >= POSITIVE_PHI_MIN
         else:
             assert abs(phi) <= NEGATIVE_PHI_MAX
+
+
+def _shift_ulps(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@pytest.mark.parametrize("ulps", [2, -2])
+def test_phi_bins_ignore_ulp_residue(monkeypatch, ulps):
+    # Phi = 0 and Phi = 0.5 are bin edges and both occur at this spec.
+    spec = DatasetSpec(8, 3, 10, 10, seed=11)
+    _, report = generate_dataset(spec)
+    assert report.phi_bins[10] and report.phi_bins[15]
+    monkeypatch.setattr(datagen, "phi_circuit", lambda inst: _shift_ulps(phi_circuit(inst), ulps))
+    _, shifted = generate_dataset(spec)
+    assert shifted.tries == report.tries
+    assert shifted.phi_bins == report.phi_bins
 
 
 def test_generate_dataset_empty():

@@ -27,6 +27,7 @@ from kforrelation.forrelation import (
     sample_from_string,
     simulate_fixed_ansatz,
     simulate_instance,
+    simulate_reduced,
 )
 from kforrelation.qstate import CapacityError, GateKind, equal_up_to_global_phase, hadamard_all, swap, unitary_of
 
@@ -189,6 +190,16 @@ def test_phi_circuit_real():
     for _ in range(20):
         state = simulate_instance(random_instance(rng, 4, 5))
         assert abs(complex(state.amplitudes[0]).imag) <= 1e-12
+
+
+def test_instance_states_are_float64():
+    # H layers and +-1 phases (the ansatz angles are 0 or pi) keep states real.
+    rng = np.random.default_rng(23)
+    for k in (2, 3, 5):
+        inst = random_instance(rng, 6, k)
+        assert simulate_reduced(inst).state.amplitudes.dtype == np.float64
+        assert simulate_instance(inst).amplitudes.dtype == np.float64
+        assert simulate_fixed_ansatz(encode(inst)).amplitudes.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kforrelation.qstate import (
+    WHT_SLAB,
     CapacityError,
+    StateVector,
     amplitude,
     apply_circuit,
     apply_gate,
@@ -26,6 +29,7 @@ INV_SQRT2 = 2 ** -0.5
 def test_init_zero_basis():
     assert np.array_equal(init_zero(1).amplitudes, [1, 0])
     assert np.array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
+    assert init_zero(2).amplitudes.dtype == np.float64
 
 
 @pytest.mark.parametrize("n", [0, -3, 27])
@@ -102,13 +106,13 @@ def test_apply_rejects_target_beyond_n():
         apply_gate(init_zero(2), phase_flip(3))
 
 
-def _random_state(n, seed):
+def _random_state(n, seed, real=False):
     rng = np.random.default_rng(seed)
-    amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amp = rng.normal(size=1 << n)
+    if not real:
+        amp = amp + 1j * rng.normal(size=1 << n)
     amp /= np.linalg.norm(amp)
-    from kforrelation.qstate import StateVector
-
-    return StateVector(n, amp.astype(np.complex128))
+    return StateVector(n, amp)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -141,11 +145,89 @@ def test_hadamard_squares_to_identity(n):
 
 @pytest.mark.parametrize("targets", [(1,), (2, 3), (1, 2, 4)])
 def test_phase_flip_equals_controlled_phase_pi_bit_for_bit(targets):
-    a = _random_state(4, 7)
-    b = a.copy()
-    apply_gate(a, phase_flip(*targets))
-    apply_gate(b, controlled_phase(targets, math.pi))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    for real in (False, True):
+        a = _random_state(4, 7, real)
+        b = a.copy()
+        apply_gate(a, phase_flip(*targets))
+        apply_gate(b, controlled_phase(targets, math.pi))
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert b.amplitudes.dtype == (np.float64 if real else np.complex128)
+
+
+# ---------------------------------------------------------------------------
+# Hadamard layer against the dense sign matrix, which the blocked kernel
+# never builds: entry (x, y) is (-1)^popcount(x & y), times 2^(-n/2).
+
+
+def _sign_rows(rows, n):
+    """Rows ``rows`` of the 2^n x 2^n +-1 matrix [(-1)^popcount(x & y)]."""
+    x = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        parity ^= (x >> b) & 1
+    return (1.0 - 2.0 * parity)[np.asarray(rows)[:, None] & x[None, :]]
+
+
+def _dense_hadamard(amps, n):
+    """The dense matrix times each column of ``amps``, built 512 rows at a time."""
+    out = np.empty_like(amps)
+    for r in range(0, 1 << n, 512):
+        out[r : r + 512] = _sign_rows(np.arange(r, min(r + 512, 1 << n)), n) @ amps
+    return out * 2.0 ** (-0.5 * n)
+
+
+@pytest.mark.parametrize("n", range(1, 14))  # crosses the 6-qubit block edges at 6/7 and 12/13
+def test_hadamard_matches_dense_sign_matrix(n):
+    states = [_random_state(n, n, real=True), _random_state(n, n)]
+    expected = _dense_hadamard(np.stack([s.amplitudes for s in states], axis=1), n)
+    for i, state in enumerate(states):
+        dtype = state.amplitudes.dtype
+        apply_gate(state, hadamard_all())
+        assert state.amplitudes.dtype == dtype
+        assert np.max(np.abs(state.amplitudes - expected[:, i])) <= 1e-12
+
+
+def test_hadamard_on_basis_state_n20_is_exact():
+    z = 0b1011_0011_1000_1111_0101
+    state = init_zero(20)
+    state.amplitudes[[0, z]] = 0.0, 1.0
+    apply_gate(state, hadamard_all())
+    assert np.array_equal(state.amplitudes, _sign_rows([z], 20)[0] / 2**10)
+
+
+def test_hadamard_n18_matches_kronecker_of_dense_halves():
+    # n = 18 spreads every block over several slabs; H on 18 qubits is
+    # H(9 high) (x) H(9 low), i.e. S @ V @ S on the 512 x 512 reshape.
+    state = _random_state(18, 5, real=True)
+    signs = _sign_rows(np.arange(512), 9)
+    expected = (signs @ state.amplitudes.reshape(512, 512) @ signs).ravel() / 2**9
+    apply_gate(state, hadamard_all())
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
+
+def test_hadamard_temporary_stays_within_one_slab():
+    state = init_zero(20)  # 8 MiB of amplitudes, allocated before tracing
+    tracemalloc.start()
+    try:
+        apply_gate(state, hadamard_all())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * WHT_SLAB * state.amplitudes.itemsize
+    assert peak < state.amplitudes.nbytes // 4
+
+
+# ---------------------------------------------------------------------------
+# dtype contract: real gates keep a real state real
+
+
+def test_non_real_phase_promotes_to_complex_and_matches_unitary():
+    gates = [hadamard_all(), controlled_phase([1, 2], 0.7), hadamard_all()]
+    state = apply_gate(init_zero(3), gates[0])
+    assert state.amplitudes.dtype == np.float64
+    apply_circuit(state, gates[1:])
+    assert state.amplitudes.dtype == np.complex128
+    assert np.max(np.abs(state.amplitudes - unitary_of(gates, 3)[:, 0])) <= 1e-12
 
 
 def test_phase_flip_involution():
