@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .forrelation import EncodedSample, build_circuit, decode, restrict, simulate_reduced, simulated_qubits
-from .qstate import apply_circuit, index_to_bits, init_zero, sample_measurements
+from .forrelation import (EncodedSample, ReducedState, build_circuit, decode, restrict, simulate_reduced,
+                          simulated_qubits)
+from .qstate import apply_circuit, index_to_bits, init_zero
 
 VQC_BIAS_LOWER = 7 / 25
 VQC_BIAS_UPPER = 4999 / 5000
@@ -60,20 +61,18 @@ class VqcModel:
         return cls(default_bias(), shots, seed)
 
 
-def _zero_probability(state, shots: int | None, seed: int) -> float:
+def _probabilities(red: ReducedState, indices: tuple[int, ...], shots: int | None, seed: int) -> list[float]:
+    """Probabilities of the full basis indices ``indices``: exact, or their
+    frequencies in one batch of ``shots`` draws."""
     if shots is None:
-        a = state.amplitudes[0]
-        return float(a.real * a.real + a.imag * a.imag)
-    counts = sample_measurements(state, shots, seed)
-    return counts["0" * state.n_qubits] / shots
+        return [red.probability(z) for z in indices]
+    counts = red.sample(shots, seed)
+    return [counts[index_to_bits(z, red.n)] / shots for z in indices]
 
 
 def vqc_probability(sample: EncodedSample, shots: int | None = None, seed: int = 0) -> float:
     """p0(x) = |<0...0| U_F(x) |0...0>|^2, exact or shot-estimated."""
-    red = simulate_reduced(decode(sample))
-    if shots is None:
-        return red.probability(0)
-    return red.sample(shots, seed)["0" * sample.n] / shots
+    return _probabilities(simulate_reduced(decode(sample)), (0,), shots, seed)[0]
 
 
 def vqc_classify(sample: EncodedSample, model: VqcModel) -> int:
@@ -97,7 +96,7 @@ def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed:
     qubits = simulated_qubits(fi, fj)
     gates = build_circuit(restrict(fj, qubits)) + list(reversed(build_circuit(restrict(fi, qubits))))
     state = apply_circuit(init_zero(len(qubits)), gates)
-    value = _zero_probability(state, shots, seed)
+    value = _probabilities(ReducedState(xi.n, qubits, state, free_in_plus=False), (0,), shots, seed)[0]
     if value > 1.0 + 1e-12:
         raise RuntimeError(f"kernel value exceeds 1: {value!r}")
     return value
@@ -183,13 +182,7 @@ def qsvm_classify(
     U_F(s)|0...0>; in sampled mode both come from the same shot batch.
     """
     z = negative_target_index(sol.x_minus)
-    red = simulate_reduced(decode(s))
-    if shots is None:
-        p0, pz = red.probability(0), red.probability(z)
-    else:
-        counts = red.sample(shots, seed)
-        p0 = counts["0" * s.n] / shots
-        pz = counts[index_to_bits(z, s.n)] / shots
+    p0, pz = _probabilities(simulate_reduced(decode(s)), (0, z), shots, seed)
     decision = sol.alpha * (p0 - pz) + sol.bias
     return 1 if decision > 0.0 else -1
 

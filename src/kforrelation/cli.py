@@ -70,18 +70,23 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _validate_gen_args(parser, args) -> None:
-    if args.k < 3 or args.k % 2 == 0:
-        parser.error(f"--k must be odd and >= 3, got {args.k}")
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
-    if args.pos < 0 or args.neg < 0:
-        parser.error("--pos and --neg must be >= 0")
-
-
-def _validate_verify_args(parser, args) -> None:
-    if (args.n is None) != (args.k is None):
-        parser.error("--n and --k scope the oracle sweep together: give both or neither")
+def _validate_args(parser, args) -> None:
+    """Range checks argparse does not make; each failure is a usage error."""
+    if args.command == "gen":
+        if args.k < 3 or args.k % 2 == 0:
+            parser.error(f"--k must be odd and >= 3, got {args.k}")
+        if args.n < 1:
+            parser.error(f"--n must be >= 1, got {args.n}")
+        if args.pos < 0 or args.neg < 0:
+            parser.error("--pos and --neg must be >= 0")
+    elif args.command == "classify":
+        if args.shots is not None and args.shots < 1:
+            parser.error(f"--shots must be >= 1, got {args.shots}")
+    elif args.command == "verify":
+        if (args.n is None) != (args.k is None):
+            parser.error("--n and --k scope the oracle sweep together: give both or neither")
+        if args.trials < 0:
+            parser.error(f"--trials must be >= 0, got {args.trials}")
 
 
 def cmd_gen(args) -> int:
@@ -141,12 +146,6 @@ def cmd_classify(args) -> int:
 # Verification suite
 
 
-def _random_instance(rng, n, k):
-    support = forrelation.restricted_functions(n)
-    funcs = tuple(support[rng.integers(len(support))] for _ in range(k))
-    return forrelation.ForrelationInstance(n, funcs)
-
-
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     """phi_bruteforce vs phi_circuit: exhaustive at (n=2,k=3) and (n=3,k=3)
     unless scoped, plus randomised draws with k*n <= 16."""
@@ -163,7 +162,7 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     for _ in range(trials):
         rn = int(rng.integers(3, 5))
         rk = int(rng.integers(1, 16 // rn + 1))
-        inst = _random_instance(rng, rn, rk)
+        inst = forrelation.random_instance(rn, rk, rng)
         max_dev = max(max_dev, abs(forrelation.phi_bruteforce(inst) - forrelation.phi_circuit(inst)))
     return max_dev <= 1e-10, max_dev
 
@@ -174,7 +173,7 @@ def check_ansatz_equivalence(seed=0, trials=50, **_):
     for _ in range(trials):
         n = int(rng.integers(3, 6))
         k = int(rng.integers(1, 6))
-        inst = _random_instance(rng, n, k)
+        inst = forrelation.random_instance(n, k, rng)
         sample = forrelation.encode(inst)
         direct = forrelation.simulate_instance(inst).amplitudes
         ansatz = forrelation.simulate_fixed_ansatz(sample).amplitudes
@@ -208,7 +207,7 @@ def check_oddk_preservation_even_n(seed=0, trials=50, **_):
     for _ in range(trials):
         n = int(rng.choice((2, 4)))
         k = int(rng.choice((2, 4)))
-        inst = _random_instance(rng, n, k)
+        inst = forrelation.random_instance(n, k, rng)
         ext = forrelation.oddk_extend(inst)
         if ext.instance.k != inst.k + forrelation.oddk_extension_count(n) or ext.phi_scale != 1.0:
             return False, float("inf")
@@ -223,7 +222,7 @@ def check_oddk_scale_odd_n(seed=0, trials=50, **_):
     max_dev = 0.0
     for _ in range(trials):
         k = int(rng.choice((2, 4)))
-        inst = _random_instance(rng, 3, k)
+        inst = forrelation.random_instance(3, k, rng)
         ext = forrelation.oddk_extend(inst)
         if ext.instance.k != inst.k + forrelation.oddk_extension_count(3) or ext.instance.n != 4:
             return False, float("inf")
@@ -237,7 +236,7 @@ def check_roundtrip(seed=0, trials=50, **_):
     for _ in range(trials):
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, 6))
-        inst = _random_instance(rng, n, k)
+        inst = forrelation.random_instance(n, k, rng)
         if forrelation.decode(forrelation.encode(inst)) != inst:
             return False, 1.0
     return True, 0.0
@@ -278,7 +277,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     for n in range(args.min_n, args.max_n + 1):
-        inst = _random_instance(rng, n, args.k)
+        inst = forrelation.random_instance(n, args.k, rng)
         t0 = time.perf_counter()
         forrelation.phi_circuit(inst)
         t1 = time.perf_counter()
@@ -298,10 +297,7 @@ def cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        _validate_gen_args(parser, args)
-    elif args.command == "verify":
-        _validate_verify_args(parser, args)
+    _validate_args(parser, args)
     try:
         return args.func(args)
     except (qstate.CapacityError, ValueError) as exc:

@@ -33,6 +33,7 @@ from .forrelation import (
     encode,
     function_of,
     phi_circuit,
+    random_instance,
     restricted_functions,
     sample_from_string,
     simulate_reduced,
@@ -146,14 +147,12 @@ def sample_random_instance(n: int, k: int, rng: np.random.Generator) -> Forrelat
         raise ValueError(f"the completeness condition needs n >= 3, got n = {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    support = restricted_functions(n)
-    triples = [f for f in support if len(f.bits) == 3]
     for _ in range(100):
-        functions = tuple(support[rng.integers(len(support))] for _ in range(k))
-        inst = ForrelationInstance(n, functions)
+        inst = random_instance(n, k, rng)
         if inst.promise_complete_form:
             return inst
-    fixed = list(functions)
+    triples = [f for f in restricted_functions(n) if len(f.bits) == 3]
+    fixed = list(inst.functions)
     fixed[int(rng.integers(k))] = triples[int(rng.integers(len(triples)))]
     return ForrelationInstance(n, tuple(fixed))
 
@@ -286,9 +285,9 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
     """Inverse of write_dataset.  An empty file is an empty dataset.
 
     Raises DatasetFormatError (with the offending line number) on malformed
-    JSON, malformed blocks, label/phi inconsistencies, or a record whose
-    (n, k) differs from the header's or, without a header, from the first
-    record's.
+    JSON, a line that is not a JSON object, malformed blocks, label/phi
+    inconsistencies, or a record whose (n, k) differs from the header's or,
+    without a header, from the first record's.
     """
     spec: DatasetSpec | None = None
     shape: tuple[int, int] | None = None
@@ -302,6 +301,8 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(lineno, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(lineno, f"expected a JSON object, got {type(obj).__name__}")
             if "bits" not in obj:
                 if lineno != 1:
                     raise DatasetFormatError(lineno, "header record apart from line 1")

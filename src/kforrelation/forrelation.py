@@ -11,6 +11,7 @@ and lies in [-1, 1].  This module provides:
 
 * the multi-hot sample encoding and its inverse,
 * restricted_functions - the allowed function family in its fixed order,
+  and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
 * phi_circuit     - statevector simulation of U_F on the support union only
   (simulate_reduced),
@@ -112,6 +113,12 @@ def restricted_functions(n: int) -> tuple[BooleanFunctionSpec, ...]:
     for size in (1, 2, 3):
         funcs.extend(BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size))
     return tuple(funcs)
+
+
+def random_instance(n: int, k: int, rng: np.random.Generator) -> ForrelationInstance:
+    """k uniform, independent draws from restricted_functions(n), one rng.integers call each."""
+    funcs = restricted_functions(n)
+    return ForrelationInstance(n, tuple(funcs[rng.integers(len(funcs))] for _ in range(k)))
 
 
 @dataclass(frozen=True)
@@ -341,7 +348,7 @@ class ReducedState:
             z |= ((r >> i) & 1) << (q - 1)
         return z
 
-    def amplitude(self, z: int) -> complex:
+    def amplitude(self, z: int) -> float:
         """<z| U_F |0...0> for a full n-qubit basis index z."""
         if not 0 <= z < 1 << self.n:
             raise ValueError(f"basis index {z} out of range for {self.n} qubits")
@@ -349,12 +356,12 @@ class ReducedState:
         for i, q in enumerate(self.support):
             r |= ((z >> (q - 1)) & 1) << i
         if not self.free_in_plus and z != self.full_index(r):
-            return 0j  # a free qubit in |0> has no weight on a set bit
-        return self.free_scale * complex(self.state.amplitudes[r])
+            return 0.0  # a free qubit in |0> has no weight on a set bit
+        return self.free_scale * float(self.state.amplitudes[r])
 
     def probability(self, z: int) -> float:
         a = self.amplitude(z)
-        return a.real * a.real + a.imag * a.imag
+        return a * a
 
     def sample(self, shots: int, seed: int) -> Counter:
         """Shot draws of the full state, as sample_measurements would give

@@ -1,9 +1,10 @@
 """Dense statevector engine for forrelation-style circuits.
 
 The gate family is deliberately small: global Hadamard layers, phase flips
-conditioned on up to three qubits (Z / CZ / CCZ), the controlled phase
-rotation diag(1, ..., 1, e^{i*angle}) on the all-ones subspace of its
-targets, and SWAP.  Nothing else is needed and nothing else is provided.
+conditioned on up to three qubits (Z / CZ / CCZ), the controlled phase on
+the all-ones subspace of its targets at angle 0 or pi only (the slots of the
+fixed ansatz), and SWAP.  Nothing else is needed and nothing else is
+provided.
 
 Conventions (fixed; everything downstream assumes them):
 
@@ -14,10 +15,10 @@ Conventions (fixed; everything downstream assumes them):
 * A phase flip with an empty target set is the identity placeholder used
   for constant Boolean functions.
 * ControlledPhase(targets, pi) is computed with an exact -1 factor so it
-  coincides bit-for-bit with PhaseFlip(targets).
-* Amplitudes are real (float64): Hadamard layers, +-1 phases and SWAP keep
-  a real state real.  apply_gate promotes a state to complex128 only for a
-  controlled phase whose factor is not +-1; unitary_of is always complex.
+  coincides bit-for-bit with PhaseFlip(targets); angle 0 is a no-op and
+  any other angle is rejected.
+* Amplitudes are real: every StateVector holds a float64 array of length
+  2^n, which each gate of the family keeps real.  unitary_of is float64 too.
 
 A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
 +-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
@@ -86,8 +87,11 @@ def phase_flip(*targets: int) -> Gate:
 def controlled_phase(targets: Iterable[int], angle: float) -> Gate:
     """Multiply the amplitude of |z> by e^{i*angle} iff every target bit is 1.
 
-    angle=pi reproduces phase_flip on the same targets exactly.
+    The angle must be 0 (the identity) or pi, which reproduces phase_flip on
+    the same targets exactly; any other angle raises ValueError.
     """
+    if angle not in (0.0, math.pi):
+        raise ValueError(f"controlled_phase angle must be 0 or pi, got {angle!r}")
     return Gate(GateKind.CONTROLLED_PHASE, _checked_targets(targets, 1, 3), float(angle))
 
 
@@ -98,8 +102,8 @@ def swap(a: int, b: int) -> Gate:
 
 @dataclass
 class StateVector:
-    """2^n amplitudes with unit norm: float64, or complex128 once a
-    controlled phase other than +-1 has been applied.
+    """2^n float64 amplitudes with unit norm; any other array raises
+    ValueError.
 
     A value type: move it freely between threads, mutate from one writer.
     Gate application updates ``amplitudes`` in place.
@@ -108,14 +112,16 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
+    def __post_init__(self):
+        a = self.amplitudes
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (1 << self.n_qubits,)):
+            raise ValueError(f"amplitudes must be a float64 array of length 2^{self.n_qubits}")
+
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
     def probabilities(self) -> np.ndarray:
-        a = self.amplitudes
-        if np.iscomplexobj(a):
-            return a.real * a.real + a.imag * a.imag
-        return a * a
+        return self.amplitudes * self.amplitudes
 
 
 def init_zero(n: int) -> StateVector:
@@ -143,15 +149,15 @@ def index_to_bits(z: int, n: int) -> str:
     return "".join("1" if (z >> j) & 1 else "0" for j in range(n))
 
 
-def amplitude(state: StateVector, z: str) -> complex:
+def amplitude(state: StateVector, z: str) -> float:
     """Amplitude of basis state z (given as a qubit-1-first bitstring)."""
     if len(z) != state.n_qubits:
         raise ValueError(f"bitstring length {len(z)} != n_qubits {state.n_qubits}")
-    return complex(state.amplitudes[bits_to_index(z)])
+    return float(state.amplitudes[bits_to_index(z)])
 
 
 def _check_norm(amp: np.ndarray) -> None:
-    nrm = float(np.vdot(amp, amp).real)
+    nrm = float(np.vdot(amp, amp))
     if abs(nrm - 1.0) > NORM_TOL:
         raise RuntimeError(f"statevector norm drifted: sum |a|^2 = {nrm!r}")
 
@@ -195,27 +201,6 @@ def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
     amp *= 2.0 ** (-0.5 * n)
 
 
-def _ones_selector(n: int, targets: frozenset[int]) -> tuple:
-    # Axis for qubit q in amp.reshape([2]*n) is n-q (axis 0 = most significant).
-    sel: list = [slice(None)] * n
-    for q in targets:
-        sel[n - q] = 1
-    return tuple(sel)
-
-
-def _phase_multiply(amp: np.ndarray, n: int, targets: frozenset[int], factor: complex) -> None:
-    view = amp.reshape((2,) * n)
-    view[_ones_selector(n, targets)] *= factor
-
-
-def _phase_factor(angle: float) -> complex:
-    if angle == 0.0:
-        return 1.0
-    if angle == math.pi:
-        return -1.0  # exact, so angle=pi is bit-identical to a phase flip
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def _swap_inplace(amp: np.ndarray, n: int, targets: frozenset[int]) -> None:
     a, b = sorted(targets)
     view = amp.reshape((2,) * n)
@@ -234,15 +219,15 @@ def _apply_inplace(amp: np.ndarray, n: int, gate: Gate) -> bool:
     or zero-angle phase), so callers can skip the norm re-check."""
     if gate.kind is GateKind.HADAMARD_ALL:
         _hadamard_all_inplace(amp, n)
-    elif gate.kind is GateKind.PHASE_FLIP:
-        if not gate.targets:
+    elif gate.kind is GateKind.PHASE_FLIP or gate.kind is GateKind.CONTROLLED_PHASE:
+        # A phase flip and a controlled phase at angle pi are one exact -1 on
+        # the all-ones subspace of the targets.
+        if not gate.targets or (gate.kind is GateKind.CONTROLLED_PHASE and gate.angle == 0.0):
             return False
-        _phase_multiply(amp, n, gate.targets, -1.0)
-    elif gate.kind is GateKind.CONTROLLED_PHASE:
-        factor = _phase_factor(gate.angle)
-        if factor == 1.0:
-            return False
-        _phase_multiply(amp, n, gate.targets, factor)
+        sel: list = [slice(None)] * n  # axis n-q of amp.reshape([2]*n) is qubit q
+        for q in gate.targets:
+            sel[n - q] = 1
+        amp.reshape((2,) * n)[tuple(sel)] *= -1.0
     elif gate.kind is GateKind.SWAP:
         _swap_inplace(amp, n, gate.targets)
     else:  # pragma: no cover
@@ -260,12 +245,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, updating the state in place.  Returns the same object.
 
     Norm is re-checked after every application (|1 - sum|a|^2| <= 1e-12).
-    A controlled phase whose factor is not +-1 first promotes a real state
-    to complex128, replacing ``state.amplitudes``.
     """
     _validate_gate(gate, state.n_qubits)
-    if gate.kind is GateKind.CONTROLLED_PHASE and isinstance(_phase_factor(gate.angle), complex):
-        state.amplitudes = state.amplitudes.astype(np.complex128, copy=False)
     if _apply_inplace(state.amplitudes, state.n_qubits, gate):
         _check_norm(state.amplitudes)
     return state
@@ -305,15 +286,11 @@ def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
         raise CapacityError(f"unitary_of supports 1 <= n <= {UNITARY_MAX_QUBITS}, got {n}")
     for g in gates:
         _validate_gate(g, n)
-    dim = 1 << n
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for z in range(dim):
-        col = np.zeros(dim, dtype=np.complex128)
-        col[z] = 1.0
+    out = np.eye(1 << n)
+    for col in out:  # row z is basis state z; it ends as column z of the result
         for g in gates:
             _apply_inplace(col, n, g)
-        out[:, z] = col
-    return out
+    return out.T
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:

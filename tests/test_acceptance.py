@@ -18,17 +18,12 @@ import pytest
 import kforrelation as kf
 from kforrelation import cli
 from kforrelation.classify import VQC_BIAS_LOWER, VQC_BIAS_UPPER, default_bias, dual_objective
-from kforrelation.forrelation import restricted_functions
+from kforrelation.forrelation import random_instance, restricted_functions
 
 
 def report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     return ok
-
-
-def random_instance(rng, n, k):
-    support = restricted_functions(n)
-    return kf.ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +54,7 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(500):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, 16 // n + 1))
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         max_dev = max(max_dev, abs(kf.phi_bruteforce(inst) - kf.phi_circuit(inst)))
     elapsed = time.perf_counter() - t0
     ok = max_dev <= 1e-10 and elapsed < 60.0
@@ -124,7 +119,7 @@ def test_criterion_5_fixed_ansatz_equivalence():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         k = int(rng.integers(1, 6))
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         sample = kf.encode(inst)
         gates = kf.build_fixed_ansatz(sample)
         n_param = sum(g.kind is kf.GateKind.CONTROLLED_PHASE for g in gates)
@@ -151,7 +146,7 @@ def test_criterion_7_oddk_preservation():
     for _ in range(100):
         n = int(rng.choice((2, 3, 4)))
         k = int(rng.choice((2, 4)))
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         ext = kf.oddk_extend(inst)
         count_ok &= ext.instance.k == k + 4 * ((n + 1) // 2) - 1
         max_dev = max(max_dev, abs(kf.phi_circuit(ext.instance) - kf.phi_circuit(inst)))

@@ -1,9 +1,12 @@
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
 from kforrelation import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -126,6 +129,17 @@ def test_classify_mixed_shape_dataset_is_runtime_error(dataset, tmp_path, capsys
     assert f"line {len(lines) + 1}" in stderr
 
 
+@pytest.mark.parametrize("value", ["5", "null", "true", "[1]", '"bits"'])
+@pytest.mark.parametrize("kept", [0, 3])  # lines of a good dataset before the bad one
+def test_classify_non_object_line_is_runtime_error(dataset, tmp_path, capsys, value, kept):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(open(dataset).readlines()[:kept]) + value + "\n")
+    code, stdout, stderr = run_cli(["classify", "--data", str(bad)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert f"line {kept + 1}:" in stderr
+
+
 def test_classify_header_only_dataset(tmp_path, capsys):
     path = tmp_path / "header.jsonl"
     path.write_text('{"n": 4, "k": 3, "count_pos": 0, "count_neg": 0, "seed": 0, "max_rejection_tries": 1}\n')
@@ -168,6 +182,17 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
     assert "--n and --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"]])
+def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = flags + (["--data", str(empty)] if flags[0] == "classify" else [])
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 64
+    assert flags[1] in capsys.readouterr().err
+
+
 def test_verify_injected_fault_exits_one(capsys, monkeypatch):
     def broken(**_):
         return False, 1.0
@@ -194,3 +219,33 @@ def test_bench_rows_parse_and_count_gates(capsys):
     assert direct["gates"] == 7
     assert all(1 <= r["support_qubits"] <= r["n"] for r in rows)
     assert ansatz3["support_qubits"] == 3
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the files in tests/data were written by an earlier version
+# of the program, so a change that moves what the commands print fails here.
+
+
+@pytest.mark.parametrize("mode", ["vqc", "qsvm"])
+@pytest.mark.parametrize("shots", [None, 1323])
+def test_classify_stdout_matches_golden(mode, shots, capsys):
+    argv = ["classify", "--data", str(DATA / "dataset_n12_k5.jsonl"), "--mode", mode]
+    if shots is not None:
+        argv += ["--shots", str(shots), "--seed", "5"]
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert stdout.encode() == (DATA / f"classify_{mode}_{'exact' if shots is None else 'shots'}.txt").read_bytes()
+
+
+def test_gen_matches_golden(tmp_path, capsys):
+    # phi is compared to 1e-12, not bit for bit, so BLAS-level rounding
+    # differences between machines do not fail the test.
+    argv, out = gen_args(tmp_path, n=6, k=7, pos=5, neg=5, seed=11)
+    assert run_cli(argv, capsys)[0] == 0
+    got = [json.loads(line) for line in open(out)]
+    want = [json.loads(line) for line in open(DATA / "gen_n6_k7.jsonl")]
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        assert {**g, "phi": None} == {**w, "phi": None}
+        assert abs(float(g["phi"]) - float(w["phi"])) <= 1e-12

@@ -23,6 +23,7 @@ from kforrelation.forrelation import (
     phi_bruteforce,
     phi_circuit,
     phi_fixed_ansatz,
+    random_instance,
     restricted_functions,
     sample_from_string,
     simulate_fixed_ansatz,
@@ -30,11 +31,6 @@ from kforrelation.forrelation import (
     simulate_reduced,
 )
 from kforrelation.qstate import CapacityError, GateKind, equal_up_to_global_phase, hadamard_all, swap, unitary_of
-
-
-def random_instance(rng, n, k):
-    support = restricted_functions(n)
-    return ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +104,7 @@ def test_roundtrip_exhaustive_small():
 def test_roundtrip_randomized(seed):
     rng = np.random.default_rng(seed)
     for _ in range(50):
-        inst = random_instance(rng, int(rng.integers(3, 9)), int(rng.integers(1, 8)))
+        inst = random_instance(int(rng.integers(3, 9)), int(rng.integers(1, 8)), rng)
         assert decode(encode(inst)) == inst
 
 
@@ -140,7 +136,7 @@ def test_bruteforce_capacity():
 def test_phi_bound_invariant():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        inst = random_instance(rng, 3, int(rng.integers(1, 6)))
+        inst = random_instance(3, int(rng.integers(1, 6)), rng)
         assert abs(phi_bruteforce(inst)) <= 1 + 1e-12
         assert abs(phi_circuit(inst)) <= 1 + 1e-12
 
@@ -181,22 +177,15 @@ def test_oracle_equivalence_randomized(seed):
     for _ in range(30):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, 16 // n + 1))
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         assert abs(phi_bruteforce(inst) - phi_circuit(inst)) <= 1e-10
-
-
-def test_phi_circuit_real():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        state = simulate_instance(random_instance(rng, 4, 5))
-        assert abs(complex(state.amplitudes[0]).imag) <= 1e-12
 
 
 def test_instance_states_are_float64():
     # H layers and +-1 phases (the ansatz angles are 0 or pi) keep states real.
     rng = np.random.default_rng(23)
     for k in (2, 3, 5):
-        inst = random_instance(rng, 6, k)
+        inst = random_instance(6, k, rng)
         assert simulate_reduced(inst).state.amplitudes.dtype == np.float64
         assert simulate_instance(inst).amplitudes.dtype == np.float64
         assert simulate_fixed_ansatz(encode(inst)).amplitudes.dtype == np.float64
@@ -250,7 +239,7 @@ def test_ansatz_statevector_equivalence(seed):
     for _ in range(15):
         n = int(rng.integers(1, 6))
         k = int(rng.integers(1, 6))
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         direct = simulate_instance(inst).amplitudes
         ansatz = simulate_fixed_ansatz(encode(inst)).amplitudes
         assert np.max(np.abs(direct - ansatz)) <= 1e-10
@@ -316,7 +305,7 @@ def test_oddk_preserves_original_function_order():
 def test_oddk_phi_preserved_even_n(n, k):
     rng = np.random.default_rng(n * 10 + k)
     for _ in range(25):
-        inst = random_instance(rng, n, k)
+        inst = random_instance(n, k, rng)
         ext = oddk_extend(inst)
         assert ext.instance.k == k + oddk_extension_count(n)
         assert ext.instance.k % 2 == 1
@@ -330,7 +319,7 @@ def test_oddk_odd_n_documented_scale(k):
     # function count), and the result reports that scale.
     rng = np.random.default_rng(k)
     for _ in range(25):
-        inst = random_instance(rng, 3, k)
+        inst = random_instance(3, k, rng)
         ext = oddk_extend(inst)
         assert ext.instance.n == 4
         assert ext.instance.k == k + oddk_extension_count(3)

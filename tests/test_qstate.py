@@ -30,6 +30,9 @@ def test_init_zero_basis():
     assert np.array_equal(init_zero(1).amplitudes, [1, 0])
     assert np.array_equal(init_zero(2).amplitudes, [1, 0, 0, 0])
     assert init_zero(2).amplitudes.dtype == np.float64
+    for bad in (np.ones(4, dtype=np.complex128) / 2, np.ones(4, dtype=np.float32) / 2, np.ones(8) / 8**0.5, [0.5] * 4):
+        with pytest.raises(ValueError):
+            StateVector(2, bad)
 
 
 @pytest.mark.parametrize("n", [0, -3, 27])
@@ -95,6 +98,9 @@ def test_gate_factory_validation():
         phase_flip(1, 2, 3, 4)
     with pytest.raises(ValueError):
         controlled_phase([], math.pi)
+    for angle in (0.7, 2 * math.pi, -math.pi):
+        with pytest.raises(ValueError):
+            controlled_phase([1], angle)
     with pytest.raises(ValueError):
         swap(2, 2)
     with pytest.raises(ValueError):
@@ -106,11 +112,9 @@ def test_apply_rejects_target_beyond_n():
         apply_gate(init_zero(2), phase_flip(3))
 
 
-def _random_state(n, seed, real=False):
+def _random_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=1 << n)
-    if not real:
-        amp = amp + 1j * rng.normal(size=1 << n)
     amp /= np.linalg.norm(amp)
     return StateVector(n, amp)
 
@@ -126,7 +130,7 @@ def test_norm_preserved_under_random_circuits(seed):
         elif pick == 1:
             g = phase_flip(*rng.choice(range(1, 5), size=rng.integers(1, 4), replace=False).tolist())
         elif pick == 2:
-            g = controlled_phase([int(rng.integers(1, 5))], float(rng.uniform(0, 2 * math.pi)))
+            g = controlled_phase([int(rng.integers(1, 5))], (0.0, math.pi)[rng.integers(2)])
         else:
             a, b = rng.choice(range(1, 5), size=2, replace=False).tolist()
             g = swap(a, b)
@@ -145,13 +149,11 @@ def test_hadamard_squares_to_identity(n):
 
 @pytest.mark.parametrize("targets", [(1,), (2, 3), (1, 2, 4)])
 def test_phase_flip_equals_controlled_phase_pi_bit_for_bit(targets):
-    for real in (False, True):
-        a = _random_state(4, 7, real)
-        b = a.copy()
-        apply_gate(a, phase_flip(*targets))
-        apply_gate(b, controlled_phase(targets, math.pi))
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert b.amplitudes.dtype == (np.float64 if real else np.complex128)
+    a = _random_state(4, 7)
+    b = a.copy()
+    apply_gate(a, phase_flip(*targets))
+    apply_gate(b, controlled_phase(targets, math.pi))
+    assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def _sign_rows(rows, n):
 
 
 def _dense_hadamard(amps, n):
-    """The dense matrix times each column of ``amps``, built 512 rows at a time."""
+    """The dense matrix times ``amps``, built 512 rows at a time."""
     out = np.empty_like(amps)
     for r in range(0, 1 << n, 512):
         out[r : r + 512] = _sign_rows(np.arange(r, min(r + 512, 1 << n)), n) @ amps
@@ -178,13 +180,10 @@ def _dense_hadamard(amps, n):
 
 @pytest.mark.parametrize("n", range(1, 14))  # crosses the 6-qubit block edges at 6/7 and 12/13
 def test_hadamard_matches_dense_sign_matrix(n):
-    states = [_random_state(n, n, real=True), _random_state(n, n)]
-    expected = _dense_hadamard(np.stack([s.amplitudes for s in states], axis=1), n)
-    for i, state in enumerate(states):
-        dtype = state.amplitudes.dtype
-        apply_gate(state, hadamard_all())
-        assert state.amplitudes.dtype == dtype
-        assert np.max(np.abs(state.amplitudes - expected[:, i])) <= 1e-12
+    state = _random_state(n, n)
+    expected = _dense_hadamard(state.amplitudes, n)
+    apply_gate(state, hadamard_all())
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
 def test_hadamard_on_basis_state_n20_is_exact():
@@ -198,7 +197,7 @@ def test_hadamard_on_basis_state_n20_is_exact():
 def test_hadamard_n18_matches_kronecker_of_dense_halves():
     # n = 18 spreads every block over several slabs; H on 18 qubits is
     # H(9 high) (x) H(9 low), i.e. S @ V @ S on the 512 x 512 reshape.
-    state = _random_state(18, 5, real=True)
+    state = _random_state(18, 5)
     signs = _sign_rows(np.arange(512), 9)
     expected = (signs @ state.amplitudes.reshape(512, 512) @ signs).ravel() / 2**9
     apply_gate(state, hadamard_all())
@@ -215,19 +214,6 @@ def test_hadamard_temporary_stays_within_one_slab():
         tracemalloc.stop()
     assert peak <= 2 * WHT_SLAB * state.amplitudes.itemsize
     assert peak < state.amplitudes.nbytes // 4
-
-
-# ---------------------------------------------------------------------------
-# dtype contract: real gates keep a real state real
-
-
-def test_non_real_phase_promotes_to_complex_and_matches_unitary():
-    gates = [hadamard_all(), controlled_phase([1, 2], 0.7), hadamard_all()]
-    state = apply_gate(init_zero(3), gates[0])
-    assert state.amplitudes.dtype == np.float64
-    apply_circuit(state, gates[1:])
-    assert state.amplitudes.dtype == np.complex128
-    assert np.max(np.abs(state.amplitudes - unitary_of(gates, 3)[:, 0])) <= 1e-12
 
 
 def test_phase_flip_involution():

@@ -13,6 +13,7 @@ from kforrelation.forrelation import (
     _parity,
     phi_bruteforce,
     phi_circuit,
+    random_instance,
     restricted_functions,
 )
 
@@ -41,9 +42,7 @@ def test_naive_matches_both_paths_random(seed):
     rng = np.random.default_rng(seed)
     for _ in range(15):
         n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        support = restricted_functions(n)
-        inst = ForrelationInstance(n, tuple(support[rng.integers(len(support))] for _ in range(k)))
+        inst = random_instance(n, int(rng.integers(1, 4)), rng)
         expected = phi_naive(inst)
         assert phi_bruteforce(inst) == pytest.approx(expected, abs=1e-13)
         assert phi_circuit(inst) == pytest.approx(expected, abs=1e-10)

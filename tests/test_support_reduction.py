@@ -24,6 +24,7 @@ from kforrelation.forrelation import (
     instance_of,
     phi_bruteforce,
     phi_circuit,
+    random_instance,
     restrict,
     restricted_functions,
     simulate_fixed_ansatz,
@@ -65,7 +66,7 @@ def check_against_dense(inst):
     assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
     red = simulate_reduced(inst)
     for z in range(1 << inst.n):
-        assert red.amplitude(z) == pytest.approx(complex(dense[z]), abs=1e-12)
+        assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
 
 
 @SETTINGS
@@ -170,9 +171,8 @@ def test_qsvm_decisions_match_dense_probabilities(seed):
     rng = np.random.default_rng(seed)
     neg = make_negative_sample(6, 3, 4, (1, 2, 3)).sample
     z = negative_target_index(neg)
-    funcs = restricted_functions(6)
     for _ in range(20):
-        s = encode(ForrelationInstance(6, tuple(funcs[rng.integers(len(funcs))] for _ in range(3))))
+        s = encode(random_instance(6, 3, rng))
         p = simulate_fixed_ansatz(s).probabilities()
         bias = float(rng.uniform(-0.5, 0.5))
         sol = DualSolution(alpha=1.0, bias=bias, x_plus=s, x_minus=neg, box_c=1.0)
