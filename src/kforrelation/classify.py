@@ -13,7 +13,9 @@ Two classifiers, both using the instance circuit U_F(x) as the feature map
   state the negative training circuit produces.
 
 Every probability is available exactly (statevector) or as a shot-sampled
-frequency; shots=None selects exact mode throughout.  Every circuit is
+frequency; shots=None selects exact mode throughout.  A rule reads one or
+two basis outcomes, whose counts among i.i.d. measurements are exactly
+multinomial, so shot mode is one multinomial draw over them.  Every circuit is
 simulated on the union of its function supports only (see
 forrelation.simulate_reduced), so no call builds a 2^n vector.
 """
@@ -23,9 +25,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .forrelation import (EncodedSample, ReducedState, build_circuit, decode, restrict, simulate_reduced,
-                          simulated_qubits)
-from .qstate import apply_circuit, index_to_bits, init_zero
+import numpy as np
+
+from .forrelation import EncodedSample, build_circuit, decode, restrict, simulate_reduced, simulated_qubits
+from .qstate import apply_circuit, init_zero
 
 VQC_BIAS_LOWER = 7 / 25
 VQC_BIAS_UPPER = 4999 / 5000
@@ -61,18 +64,20 @@ class VqcModel:
         return cls(default_bias(), shots, seed)
 
 
-def _probabilities(red: ReducedState, indices: tuple[int, ...], shots: int | None, seed: int) -> list[float]:
-    """Probabilities of the full basis indices ``indices``: exact, or their
-    frequencies in one batch of ``shots`` draws."""
+def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[float]:
+    """``exact`` (probabilities of distinct outcomes), or their frequencies
+    in one multinomial draw of ``shots`` over them and the rest.  Rounding
+    can put a probability an ulp above 1, which the draw rejects: clip it."""
     if shots is None:
-        return [red.probability(z) for z in indices]
-    counts = red.sample(shots, seed)
-    return [counts[index_to_bits(z, red.n)] / shots for z in indices]
+        return exact
+    p = [min(q, 1.0) for q in exact]
+    counts = np.random.default_rng(seed).multinomial(shots, p + [max(0.0, 1.0 - sum(p))])
+    return [int(c) / shots for c in counts[:-1]]
 
 
 def vqc_probability(sample: EncodedSample, shots: int | None = None, seed: int = 0) -> float:
     """p0(x) = |<0...0| U_F(x) |0...0>|^2, exact or shot-estimated."""
-    return _probabilities(simulate_reduced(decode(sample)), (0,), shots, seed)[0]
+    return _probabilities([simulate_reduced(decode(sample)).probability(0)], shots, seed)[0]
 
 
 def vqc_classify(sample: EncodedSample, model: VqcModel) -> int:
@@ -96,7 +101,7 @@ def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed:
     qubits = simulated_qubits(fi, fj)
     gates = build_circuit(restrict(fj, qubits)) + list(reversed(build_circuit(restrict(fi, qubits))))
     state = apply_circuit(init_zero(len(qubits)), gates)
-    value = _probabilities(ReducedState(xi.n, qubits, state, free_in_plus=False), (0,), shots, seed)[0]
+    value = _probabilities([float(state.amplitudes[0]) ** 2], shots, seed)[0]
     if value > 1.0 + 1e-12:
         raise RuntimeError(f"kernel value exceeds 1: {value!r}")
     return value
@@ -179,10 +184,11 @@ def qsvm_classify(
     """sign(alpha * (p0 - pz) + bias), with sign(0) -> -1.
 
     p0 and pz are the probabilities of the bitstrings 0^n and z in
-    U_F(s)|0...0>; in sampled mode both come from the same shot batch.
+    U_F(s)|0...0>; in sampled mode both come from one multinomial shot batch.
     """
     z = negative_target_index(sol.x_minus)
-    p0, pz = _probabilities(simulate_reduced(decode(s)), (0, z), shots, seed)
+    red = simulate_reduced(decode(s))
+    p0, pz = _probabilities([red.probability(0), red.probability(z)], shots, seed)
     decision = sol.alpha * (p0 - pz) + sol.bias
     return 1 if decision > 0.0 else -1
 

@@ -82,6 +82,8 @@ def _validate_args(parser, args) -> None:
     elif args.command == "classify":
         if args.shots is not None and args.shots < 1:
             parser.error(f"--shots must be >= 1, got {args.shots}")
+        if args.bias is not None and not -1.0 <= args.bias <= 1.0:
+            parser.error(f"--bias must lie in [-1, 1], got {args.bias}")
     elif args.command == "verify":
         if (args.n is None) != (args.k is None):
             parser.error("--n and --k scope the oracle sweep together: give both or neither")

@@ -26,8 +26,8 @@ non-trivially only on the union S of the function supports (at most 3k
 qubits).  A qubit outside S ("free") sees nothing but the k+1 Hadamard
 layers: it ends in |0> for odd k and in |+> for even k.  simulate_reduced
 therefore simulates the instance on S alone (relabelled 1..m in increasing
-order) and reads every amplitude, probability or shot draw of the n-qubit
-state off that m-qubit state; the statevector cap applies to m, not n.
+order) and reads every amplitude or probability of the n-qubit state off
+that m-qubit state; the statevector cap applies to m, not n.
 phi_bruteforce and the fixed ansatz stay dense: they are the independent
 oracles the reduction is checked against.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -51,7 +50,6 @@ from .qstate import (
     hadamard_all,
     init_zero,
     phase_flip,
-    sample_measurements,
 )
 
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
@@ -362,35 +360,6 @@ class ReducedState:
     def probability(self, z: int) -> float:
         a = self.amplitude(z)
         return a * a
-
-    def sample(self, shots: int, seed: int) -> Counter:
-        """Shot draws of the full state, as sample_measurements would give
-        them: a Counter of qubit-1-first n-bit strings.
-
-        The simulated qubits are drawn by sample_measurements on ``state``
-        and spread back to their positions.  Free qubits in |0> read 0, so
-        the draws equal those of the dense state with the same seed.  Free
-        qubits in |+> are fair bits drawn afterwards from the same
-        generator.
-        """
-        if len(self.support) == self.n:
-            return sample_measurements(self.state, shots, seed)
-        rng = np.random.default_rng(seed)
-        counts = sample_measurements(self.state, shots, rng)
-        free = self.free
-        out: Counter = Counter()
-        for bits, c in counts.items():
-            chars = ["0"] * self.n
-            for q, b in zip(self.support, bits):
-                chars[q - 1] = b
-            if not self.free_in_plus:
-                out["".join(chars)] += c
-                continue
-            for row in rng.integers(0, 2, size=(c, len(free))):
-                for q, b in zip(free, row):
-                    chars[q - 1] = "1" if b else "0"
-                out["".join(chars)] += 1
-        return out
 
     def full_state(self) -> StateVector:
         """The 2^n-amplitude state (for tests and verification); the n-qubit

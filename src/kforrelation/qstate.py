@@ -52,28 +52,43 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
+# Per kind: (fewest, most) targets and the allowed angles.  A phase flip
+# without targets is the identity placeholder of a constant function.
+_GATE_RULES = {
+    GateKind.HADAMARD_ALL: (0, 0, (0.0,)),
+    GateKind.PHASE_FLIP: (0, 3, (0.0,)),
+    GateKind.CONTROLLED_PHASE: (1, 3, (0.0, math.pi)),
+    GateKind.SWAP: (2, 2, (0.0,)),
+}
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element.  Build instances through the factory functions
-    below; they enforce the per-kind target arities."""
+    """One circuit element, checked on construction against _GATE_RULES:
+    a frozenset of integer targets >= 1, as many as the kind allows, and
+    angle 0 (0 or pi for a controlled phase).  Anything else raises
+    ValueError."""
 
     kind: GateKind
     targets: frozenset[int] = frozenset()
     angle: float = 0.0
 
+    def __post_init__(self):
+        low, high, angles = _GATE_RULES[self.kind]
+        ts = self.targets
+        if not (isinstance(ts, frozenset) and low <= len(ts) <= high and self.angle in angles
+                and all(isinstance(t, int) and t >= 1 for t in ts)):
+            raise ValueError(f"{self.kind.value} takes {low} to {high} integer targets >= 1 and an angle "
+                             f"in {angles}, got targets {ts!r} and angle {self.angle!r}")
 
-def _checked_targets(targets: Iterable[int], low: int, high: int) -> frozenset[int]:
-    ts = frozenset(targets)
-    if not all(isinstance(t, int) and t >= 1 for t in ts):
-        raise ValueError(f"qubit indices must be integers >= 1, got {sorted(ts)!r}")
-    if not (low <= len(ts) <= high):
-        raise ValueError(f"expected between {low} and {high} distinct targets, got {sorted(ts)}")
-    return ts
+
+_HADAMARD_ALL = Gate(GateKind.HADAMARD_ALL)
 
 
 def hadamard_all() -> Gate:
-    """One global layer: H applied to every qubit."""
-    return Gate(GateKind.HADAMARD_ALL)
+    """One global layer: H applied to every qubit.  Gates are immutable, so
+    every call returns the same one, built and checked once."""
+    return _HADAMARD_ALL
 
 
 def phase_flip(*targets: int) -> Gate:
@@ -81,7 +96,7 @@ def phase_flip(*targets: int) -> Gate:
 
     Zero targets is the identity placeholder, one is Z, two CZ, three CCZ.
     """
-    return Gate(GateKind.PHASE_FLIP, _checked_targets(targets, 0, 3))
+    return Gate(GateKind.PHASE_FLIP, frozenset(targets))
 
 
 def controlled_phase(targets: Iterable[int], angle: float) -> Gate:
@@ -90,14 +105,12 @@ def controlled_phase(targets: Iterable[int], angle: float) -> Gate:
     The angle must be 0 (the identity) or pi, which reproduces phase_flip on
     the same targets exactly; any other angle raises ValueError.
     """
-    if angle not in (0.0, math.pi):
-        raise ValueError(f"controlled_phase angle must be 0 or pi, got {angle!r}")
-    return Gate(GateKind.CONTROLLED_PHASE, _checked_targets(targets, 1, 3), float(angle))
+    return Gate(GateKind.CONTROLLED_PHASE, frozenset(targets), angle)
 
 
 def swap(a: int, b: int) -> Gate:
     """Exchange the states of qubits a and b."""
-    return Gate(GateKind.SWAP, _checked_targets((a, b), 2, 2))
+    return Gate(GateKind.SWAP, frozenset((a, b)))
 
 
 @dataclass
@@ -258,12 +271,10 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     return state
 
 
-def sample_measurements(state: StateVector, shots: int, seed: int | np.random.Generator) -> Counter:
+def sample_measurements(state: StateVector, shots: int, seed: int) -> Counter:
     """shots i.i.d. computational-basis draws; deterministic for a given seed.
 
-    A Generator passed as ``seed`` is drawn from directly, so a caller can
-    continue its stream afterwards.  Returns a Counter mapping
-    qubit-1-first bitstrings to counts.
+    Returns a Counter mapping qubit-1-first bitstrings to counts.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")

@@ -182,7 +182,9 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
     assert "--n and --k" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"]])
+@pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"],
+                                   ["classify", "--bias", "5"], ["classify", "--bias", "-1.5"],
+                                   ["classify", "--bias", "nan"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -7,6 +7,8 @@ import pytest
 from kforrelation.qstate import (
     WHT_SLAB,
     CapacityError,
+    Gate,
+    GateKind,
     StateVector,
     amplitude,
     apply_circuit,
@@ -105,6 +107,21 @@ def test_gate_factory_validation():
         swap(2, 2)
     with pytest.raises(ValueError):
         phase_flip(0)
+
+
+@pytest.mark.parametrize("kind, targets, angle", [
+    (GateKind.CONTROLLED_PHASE, {1}, 0.7),
+    (GateKind.PHASE_FLIP, {1}, math.pi),
+    (GateKind.HADAMARD_ALL, {1}, 0.0),
+    (GateKind.PHASE_FLIP, {1, 2, 3, 4}, 0.0),
+    (GateKind.CONTROLLED_PHASE, set(), math.pi),
+    (GateKind.CONTROLLED_PHASE, {1, 2, 3, 4}, math.pi),
+    (GateKind.SWAP, {1}, 0.0),
+    (GateKind.SWAP, {1, 2, 3}, 0.0),
+])
+def test_gate_construction_validates_arity_and_angle(kind, targets, angle):
+    with pytest.raises(ValueError):
+        Gate(kind, frozenset(targets), angle)
 
 
 def test_apply_rejects_target_beyond_n():

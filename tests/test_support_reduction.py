@@ -7,12 +7,14 @@ by hand, over random instances that include even k, empty supports and full
 supports.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kforrelation import classify
 from kforrelation.classify import DualSolution, kernel, negative_target_index, qsvm_classify, vqc_probability
 from kforrelation.datagen import make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
@@ -32,7 +34,7 @@ from kforrelation.forrelation import (
     simulate_reduced,
     simulated_qubits,
 )
-from kforrelation.qstate import CapacityError, index_to_bits, init_zero, sample_measurements
+from kforrelation.qstate import CapacityError, init_zero
 
 BRUTE_FORCE_BITS = 16   # k*n at which the exhaustive sum still takes milliseconds
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -95,24 +97,68 @@ def test_full_support_skips_relabelling(k):
     check_against_dense(inst)
 
 
+SHOTS = 20000
+EPS = math.sqrt(math.log(2 / 1e-9) / (2 * SHOTS))  # Hoeffding bound per frequency, delta = 1e-9
+
+
+def probability_reads(fn, *args):
+    """The (exact probabilities, returned values) of every probability read
+    that fn(*args) makes."""
+    calls, real = [], classify._probabilities
+
+    def spy(exact, shots, seed):
+        out = real(exact, shots, seed)
+        calls.append((list(exact), out))
+        return out
+
+    with mock.patch.object(classify, "_probabilities", spy):
+        fn(*args)
+    return calls
+
+
 @SETTINGS
-@given(instances(k=st.sampled_from([1, 3, 5])), st.integers(0, 2**32 - 1))
-def test_odd_k_shot_draws_equal_dense_draws(inst, seed):
-    dense = simulate_fixed_ansatz(encode(inst))
-    assert simulate_reduced(inst).sample(200, seed) == sample_measurements(dense, 200, seed)
+@given(instances(), st.integers(0, 2**32 - 1))
+@example(instance_of(1, {1}), 0)             # n = 1, k = 1
+@example(instance_of(2, {1, 2}, ()), 1)      # n = 2, even k
+@example(instance_of(6, {2, 5}, {2}), 2)     # even k: free qubits 1, 3, 4, 6 end in |+>
+def test_vqc_shot_estimate_within_hoeffding_bound(inst, seed):
+    x = encode(inst)
+    estimate = vqc_probability(x, SHOTS, seed)
+    assert abs(estimate - vqc_probability(x)) <= EPS
+    assert vqc_probability(x, SHOTS, seed) == estimate
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_even_k_shot_draws_follow_the_dense_distribution(seed):
-    inst = instance_of(6, {2, 5}, {2})         # free qubits 1, 3, 4, 6 end in |+>
-    p = simulate_fixed_ansatz(encode(inst)).probabilities()
-    shots = 20000
-    counts = simulate_reduced(inst).sample(shots, seed)
-    assert sum(counts.values()) == shots
-    eps = math.sqrt(math.log(2 / 1e-9) / (2 * shots))  # Hoeffding, per outcome
-    for z in range(64):
-        assert abs(counts[index_to_bits(z, 6)] / shots - p[z]) <= eps
-    assert all(p[int(bits[::-1], 2)] > 0 for bits in counts)
+@SETTINGS
+@given(instances(n=st.integers(3, 8), k=st.sampled_from([3, 5])), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_qsvm_shot_frequencies_come_from_one_batch(inst, j, seed):
+    neg = make_negative_sample(inst.n, inst.k, j, (1, 2, 3)).sample
+    z = negative_target_index(neg)
+    sol = DualSolution(alpha=1.0, bias=0.0, x_plus=neg, x_minus=neg, box_c=1.0)
+    s = encode(inst)
+    p = simulate_fixed_ansatz(s).probabilities()
+    calls = probability_reads(qsvm_classify, s, sol, SHOTS, seed)
+    assert len(calls) == 1
+    exact, (p0, pz) = calls[0]
+    assert exact == pytest.approx([p[0], p[z]], abs=1e-12)
+    assert p0 + pz <= 1.0
+    assert abs(p0 - p[0]) <= EPS and abs(pz - p[z]) <= EPS
+    assert probability_reads(qsvm_classify, s, sol, SHOTS, seed) == calls
+
+
+def test_shot_frequencies_of_complementary_outcomes_sum_to_one():
+    # Two outcomes holding all the weight: one batch splits the shots
+    # between them exactly, where two independent batches would not.  A
+    # power-of-two shot count keeps the frequencies and their sum exact.
+    for seed in range(5):
+        p0, p1 = classify._probabilities([0.5, 0.5], 1024, seed)
+        assert p0 + p1 == 1.0
+
+
+def test_shot_mode_clips_a_probability_rounded_above_one():
+    inst = instance_of(1, ())                    # H H |0>: two roundings of 2^-1/2
+    x = encode(inst)
+    assert vqc_probability(x) > 1.0
+    assert vqc_probability(x, SHOTS, 0) == 1.0
 
 
 @SETTINGS
