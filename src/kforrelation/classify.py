@@ -185,7 +185,10 @@ def qsvm_classify(
 
     p0 and pz are the probabilities of the bitstrings 0^n and z in
     U_F(s)|0...0>; in sampled mode both come from one multinomial shot batch.
+    Raises ValueError when s's (n, k) differs from the training samples'.
     """
+    if (s.n, s.k) != (sol.x_minus.n, sol.x_minus.k):
+        raise ValueError(f"sample shape ({s.n},{s.k}) differs from the trained ({sol.x_minus.n},{sol.x_minus.k})")
     z = negative_target_index(sol.x_minus)
     red = simulate_reduced(decode(s))
     p0, pz = _probabilities([red.probability(0), red.probability(z)], shots, seed)

@@ -55,7 +55,6 @@ from .qstate import (
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
 BRUTE_FORCE_CHUNK = 1 << 20  # partition size; the exact integer sum makes it invisible
 PHI_BOUND_TOL = 1e-12
-IMAG_TOL = 1e-12
 
 _INV_SQRT2 = 2.0 ** -0.5
 
@@ -200,20 +199,13 @@ def sample_from_string(n: int, k: int, bits: str) -> EncodedSample:
 
 
 # ---------------------------------------------------------------------------
-# Phi checks shared by all evaluation paths
+# Phi bound check shared by all evaluation paths
 
 
 def _checked_phi(value: float) -> float:
     if abs(value) > 1.0 + PHI_BOUND_TOL:
         raise RuntimeError(f"|Phi| exceeds 1: {value!r}")
     return float(value)
-
-
-def _phi_from_state(state: StateVector) -> float:
-    a = complex(state.amplitudes[0])
-    if abs(a.imag) > IMAG_TOL:
-        raise RuntimeError(f"instance circuits are real-valued; got imaginary part {a.imag!r}")
-    return _checked_phi(a.real)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +386,7 @@ def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit, simulated on the
     support union: the reduced amplitude times the free qubits' factor."""
     red = simulate_reduced(inst)
-    return _checked_phi(red.free_scale * _phi_from_state(red.state))
+    return _checked_phi(red.free_scale * float(red.state.amplitudes[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +422,7 @@ def simulate_fixed_ansatz(sample: EncodedSample) -> StateVector:
 
 
 def phi_fixed_ansatz(sample: EncodedSample) -> float:
-    return _phi_from_state(simulate_fixed_ansatz(sample))
+    return _checked_phi(float(simulate_fixed_ansatz(sample).amplitudes[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,14 @@ def test_qsvm_positive_class_guaranteed(promise_samples):
             assert qsvm_classify(s.sample, sol) == 1
 
 
+@pytest.mark.parametrize("shots", [None, 100])
+@pytest.mark.parametrize("n, k", [(4, 3), (6, 3), (4, 5)])
+def test_qsvm_classify_rejects_other_shape(shots, n, k):
+    sol = qsvm_train(make_positive_sample(6, 5, 1, 2, 3).sample, make_negative_sample(6, 5, 1, (1, 2, 3)).sample)
+    with pytest.raises(ValueError, match="shape"):
+        qsvm_classify(make_positive_sample(n, k, 1, 2, 3).sample, sol, shots=shots)
+
+
 def test_qsvm_sign_zero_is_negative(pair33):
     pos, neg = pair33
     sol = DualSolution(alpha=0.0, bias=0.0, x_plus=pos, x_minus=neg, box_c=1.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kforrelation import cli
+from kforrelation import cli, forrelation, qstate
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,9 +163,9 @@ def test_verify_default_passes(capsys):
     code, stdout, _ = run_cli(["verify", "--trials", "8"], capsys)
     assert code == 0
     lines = stdout.splitlines()
-    assert lines and all(l.startswith("PASS") for l in lines)
-    assert any("oracle_equivalence" in l for l in lines)
-    assert any("gadget_identity" in l for l in lines)
+    assert all(l.startswith("PASS ") for l in lines)
+    assert [l.split()[1] for l in lines] == ["oracle_equivalence", "ansatz_equivalence", "gadget_identity",
+                                           "constructive_samples", "oddk_extension", "encode_decode_roundtrip"]
 
 
 def test_verify_scoped_oracle_sweep(capsys):
@@ -184,11 +184,17 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
 
 @pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"],
                                    ["classify", "--bias", "5"], ["classify", "--bias", "-1.5"],
-                                   ["classify", "--bias", "nan"]])
+                                   ["classify", "--bias", "nan"], ["gen", "--tries", "-1"],
+                                   ["verify", "--n", "0", "--k", "3"], ["verify", "--k", "0", "--n", "2"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    argv = flags + (["--data", str(empty)] if flags[0] == "classify" else [])
+    if flags[0] == "classify":
+        argv = flags + ["--data", str(empty)]
+    elif flags[0] == "gen":
+        argv = gen_args(tmp_path)[0] + flags[1:]
+    else:
+        argv = flags
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 64
@@ -206,21 +212,56 @@ def test_verify_injected_fault_exits_one(capsys, monkeypatch):
     assert "injected_fault" in stderr
 
 
-# ---------------------------------------------------------------------------
-# bench
+def _flip_first_function(decode):
+    def faulty(sample):
+        inst = decode(sample)
+        first = forrelation.function_of(1) if inst.functions[0].is_constant else forrelation.CONSTANT
+        return forrelation.ForrelationInstance(inst.n, (first,) + inst.functions[1:])
+    return faulty
 
 
-def test_bench_rows_parse_and_count_gates(capsys):
-    code, stdout, _ = run_cli(["bench", "--min-n", "3", "--max-n", "4", "--k", "3"], capsys)
-    assert code == 0
-    rows = [json.loads(l) for l in stdout.splitlines()]
-    assert all("seconds" in r for r in rows)
-    ansatz3 = next(r for r in rows if r["op"] == "phi_fixed_ansatz" and r["n"] == 3)
-    assert ansatz3["parameterized_gates"] == 21
-    direct = next(r for r in rows if r["op"] == "phi_circuit" and r["n"] == 3)
-    assert direct["gates"] == 7
-    assert all(1 <= r["support_qubits"] <= r["n"] for r in rows)
-    assert ansatz3["support_qubits"] == 3
+def _drop_one_slot(build):
+    def faulty(sample):
+        gates = build(sample)
+        i = next(i for i, g in enumerate(gates) if g.kind is qstate.GateKind.CONTROLLED_PHASE and g.angle == 0.0)
+        return gates[:i] + gates[i + 1:]
+    return faulty
+
+
+def _break_last_gadget(extend):
+    def faulty(inst):
+        ext = extend(inst)
+        funcs = ext.instance.functions[:-1] + (forrelation.CONSTANT,)  # same count, one CZ short
+        return ext._replace(instance=forrelation.ForrelationInstance(ext.instance.n, funcs))
+    return faulty
+
+
+# (check name, forrelation attribute, fault built from the original): the
+# shared checks back both `verify` and the acceptance criteria, so each must
+# be able to fail.
+INJECTED_FAULTS = [
+    ("oracle_equivalence", "phi_circuit", lambda f: lambda inst: f(inst) + 1e-9),
+    ("ansatz_equivalence", "simulate_fixed_ansatz",
+     lambda f: lambda s: qstate.StateVector(s.n, -f(s).amplitudes)),
+    ("ansatz_equivalence", "build_fixed_ansatz", _drop_one_slot),
+    ("gadget_identity", "gadget_gate_sequence", lambda f: lambda: f()[:-1]),
+    ("constructive_samples", "decode", _flip_first_function),
+    ("oddk_extension", "oddk_extend", lambda f: lambda inst: f(inst)._replace(phi_scale=1.0)),
+    ("oddk_extension", "oddk_extend", _break_last_gadget),
+    ("encode_decode_roundtrip", "decode", _flip_first_function),
+]
+
+
+def test_every_check_has_an_injected_fault():
+    assert {name for name, _ in cli.DEFAULT_CHECKS} == {name for name, _, _ in INJECTED_FAULTS}
+
+
+@pytest.mark.parametrize("name, attr, fault", INJECTED_FAULTS)
+def test_check_fails_on_injected_fault(name, attr, fault, monkeypatch):
+    monkeypatch.setattr(forrelation, attr, fault(getattr(forrelation, attr)))
+    check = dict(cli.DEFAULT_CHECKS)[name]
+    passed, _ = check(seed=0, trials=8, n=None, k=None)
+    assert passed is False
 
 
 # ---------------------------------------------------------------------------
