@@ -45,31 +45,15 @@ def default_bias() -> float:
     return 0.5 * (VQC_BIAS_LOWER + VQC_BIAS_UPPER)
 
 
-@dataclass(frozen=True)
-class VqcModel:
-    """Bias plus evaluation mode.  shots=None -> exact probabilities."""
-
-    bias: float
-    shots: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not -1.0 <= self.bias <= 1.0:
-            raise ValueError(f"bias must lie in [-1, 1], got {self.bias}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-
-    @classmethod
-    def default_for_forrelation(cls, shots: int | None = None, seed: int = 0) -> "VqcModel":
-        return cls(default_bias(), shots, seed)
-
-
 def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[float]:
     """``exact`` (probabilities of distinct outcomes), or their frequencies
     in one multinomial draw of ``shots`` over them and the rest.  Rounding
-    can put a probability an ulp above 1, which the draw rejects: clip it."""
+    can put a probability an ulp above 1, which the draw rejects: clip it.
+    Every probability read comes here, so every read rejects shots < 1."""
     if shots is None:
         return exact
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     p = [min(q, 1.0) for q in exact]
     counts = np.random.default_rng(seed).multinomial(shots, p + [max(0.0, 1.0 - sum(p))])
     return [int(c) / shots for c in counts[:-1]]
@@ -80,10 +64,13 @@ def vqc_probability(sample: EncodedSample, shots: int | None = None, seed: int =
     return _probabilities([simulate_reduced(decode(sample)).probability(0)], shots, seed)[0]
 
 
-def vqc_classify(sample: EncodedSample, model: VqcModel) -> int:
-    """+1 iff p0 strictly exceeds (1 - bias)/2; ties go to -1."""
-    p = vqc_probability(sample, model.shots, model.seed)
-    return 1 if p > 0.5 * (1.0 - model.bias) else -1
+def vqc_classify(sample: EncodedSample, bias: float, shots: int | None = None, seed: int = 0) -> int:
+    """+1 iff p0 strictly exceeds (1 - bias)/2; ties go to -1.  bias must
+    lie in [-1, 1]; shots=None reads p0 exactly."""
+    if not -1.0 <= bias <= 1.0:
+        raise ValueError(f"bias must lie in [-1, 1], got {bias}")
+    p = vqc_probability(sample, shots, seed)
+    return 1 if p > 0.5 * (1.0 - bias) else -1
 
 
 def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed: int = 0) -> float:

@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--mode", choices=("vqc", "qsvm"), default="vqc")
     c.add_argument("--shots", type=int, default=None, help="sampled mode; omit for exact")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bias", type=float, default=None, help="VQC bias; default is the interval midpoint")
+    c.add_argument("--bias", type=float, default=cls.default_bias(), help="VQC bias; default is the interval midpoint")
     c.set_defaults(func=cmd_classify)
 
     v = sub.add_parser("verify", help="run the cross-module invariant suite")
@@ -77,7 +78,7 @@ def _validate_args(parser, args) -> None:
     elif args.command == "classify":
         if args.shots is not None and args.shots < 1:
             parser.error(f"--shots must be >= 1, got {args.shots}")
-        if args.bias is not None and not -1.0 <= args.bias <= 1.0:
+        if not -1.0 <= args.bias <= 1.0:
             parser.error(f"--bias must lie in [-1, 1], got {args.bias}")
     elif args.command == "verify":
         if (args.n is None) != (args.k is None):
@@ -86,6 +87,8 @@ def _validate_args(parser, args) -> None:
             parser.error(f"--n must be >= 1, got {args.n}")
         if args.k is not None and args.k < 1:
             parser.error(f"--k must be >= 1, got {args.k}")
+        if args.n is not None and _sweep_too_large(args.n, args.k):
+            parser.error(f"--n {args.n} --k {args.k}: the exhaustive oracle sweep is too large")
         if args.trials < 0:
             parser.error(f"--trials must be >= 0, got {args.trials}")
 
@@ -98,7 +101,7 @@ def cmd_gen(args) -> int:
     except (datagen.GenerationError, OSError) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    print(json.dumps({"type": "report", "samples": len(samples), **report.as_dict()}))
+    print(json.dumps({"type": "report", "samples": len(samples), **asdict(report)}))
     return EXIT_OK
 
 
@@ -122,9 +125,6 @@ def cmd_classify(args) -> int:
         except (ValueError, cls.DegenerateTrainingSetError) as exc:
             print(f"qsvm training failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
-    else:
-        bias = cls.default_bias() if args.bias is None else args.bias
-        model = cls.VqcModel(bias)
 
     correct = 0
     for idx, s in enumerate(samples):
@@ -132,8 +132,7 @@ def cmd_classify(args) -> int:
         if args.mode == "qsvm":
             predicted = cls.qsvm_classify(s.sample, sol, args.shots, seed)
         else:
-            m = cls.VqcModel(model.bias, args.shots, seed)
-            predicted = cls.vqc_classify(s.sample, m)
+            predicted = cls.vqc_classify(s.sample, args.bias, args.shots, seed)
         correct += predicted == s.label
         print(json.dumps({"type": "prediction", "index": idx, "label": s.label,
                           "predicted": predicted, "phi": f"{s.phi:.17g}"}))
@@ -147,16 +146,21 @@ def cmd_classify(args) -> int:
 # Verification suite
 
 
+def _sweep_too_large(n: int, k: int) -> bool:
+    """len(restricted_functions(n)) ** k > 4096, without building the
+    functions; every n has at least 2 of them, so k > 12 alone decides."""
+    return k > 12 or (1 + forrelation.ansatz_parameter_count(n, 1)) ** k > 4096
+
+
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     """phi_bruteforce vs phi_circuit: exhaustive at (n=2,k=3) and (n=3,k=3)
     unless scoped, plus randomised draws with n <= 4 and k*n <= 16."""
     max_dev = 0.0
     sweeps = [(n, k)] if n is not None and k is not None else [(2, 3), (3, 3)]
     for sn, sk in sweeps:
-        functions = forrelation.restricted_functions(sn)
-        if len(functions) ** sk > 4096:
+        if _sweep_too_large(sn, sk):
             raise ValueError(f"exhaustive sweep too large for n={sn}, k={sk}")
-        for funcs in itertools.product(functions, repeat=sk):
+        for funcs in itertools.product(forrelation.restricted_functions(sn), repeat=sk):
             inst = forrelation.ForrelationInstance(sn, funcs)
             max_dev = max(max_dev, abs(forrelation.phi_bruteforce(inst) - forrelation.phi_circuit(inst)))
     rng = np.random.default_rng(seed)
@@ -169,8 +173,8 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
 
 
 def check_ansatz_equivalence(seed=0, trials=50, **_):
-    """Fixed ansatz vs direct circuit, n <= 5, k <= 5: the same statevector,
-    and exactly ansatz_parameter_count controlled-phase slots."""
+    """Fixed ansatz vs direct circuit, n <= 5, k <= 5: simulate_reduced reads
+    every dense ansatz amplitude, and there are ansatz_parameter_count slots."""
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     for _ in range(trials):
@@ -182,9 +186,9 @@ def check_ansatz_equivalence(seed=0, trials=50, **_):
         slots = sum(g.kind is qstate.GateKind.CONTROLLED_PHASE for g in gates)
         if slots != forrelation.ansatz_parameter_count(n, k):
             return False, float("inf")
-        direct = forrelation.simulate_instance(inst).amplitudes
+        red = forrelation.simulate_reduced(inst)
         ansatz = forrelation.simulate_fixed_ansatz(sample).amplitudes
-        max_dev = max(max_dev, float(np.max(np.abs(direct - ansatz))))
+        max_dev = max(max_dev, max(abs(red.amplitude(z) - float(a)) for z, a in enumerate(ansatz)))
     return max_dev <= 1e-10, max_dev
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -79,6 +79,8 @@ class LabeledSample:
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """Generation spec; its fields, in order, are the dataset header."""
+
     n: int
     k: int
     count_pos: int
@@ -159,6 +161,8 @@ def sample_random_instance(n: int, k: int, rng: np.random.Generator) -> Forrelat
 
 @dataclass(frozen=True)
 class GenerationReport:
+    """Rejection-sampling statistics; its fields, in order, are the `gen` report."""
+
     tries: int
     accepted_pos: int
     accepted_neg: int
@@ -169,20 +173,6 @@ class GenerationReport:
     phi_max: float | None
     phi_mean: float | None
     phi_bins: tuple[int, ...]   # 20 equal bins over [-1, 1] for all tried instances
-
-    def as_dict(self) -> dict:
-        return {
-            "tries": self.tries,
-            "accepted_pos": self.accepted_pos,
-            "accepted_neg": self.accepted_neg,
-            "constructive_pos": self.constructive_pos,
-            "acceptance_rate_pos": self.acceptance_rate_pos,
-            "acceptance_rate_neg": self.acceptance_rate_neg,
-            "phi_min": self.phi_min,
-            "phi_max": self.phi_max,
-            "phi_mean": self.phi_mean,
-            "phi_bins": list(self.phi_bins),
-        }
 
 
 def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], GenerationReport]:
@@ -251,17 +241,6 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], Generation
 # Serialization.  One JSON object per line; field order is normative.
 
 
-def _spec_record(spec: DatasetSpec) -> dict:
-    return {
-        "n": spec.n,
-        "k": spec.k,
-        "count_pos": spec.count_pos,
-        "count_neg": spec.count_neg,
-        "seed": spec.seed,
-        "max_rejection_tries": spec.max_rejection_tries,
-    }
-
-
 def _sample_record(s: LabeledSample) -> dict:
     return {
         "n": s.sample.n,
@@ -276,7 +255,7 @@ def _sample_record(s: LabeledSample) -> dict:
 def write_dataset(spec: DatasetSpec, samples: Iterable[LabeledSample], path: str) -> None:
     """Header line with the generation spec, then one record per sample."""
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(_spec_record(spec)) + "\n")
+        fh.write(json.dumps(asdict(spec)) + "\n")
         for s in samples:
             fh.write(json.dumps(_sample_record(s)) + "\n")
 

@@ -15,6 +15,7 @@ and lies in [-1, 1].  This module provides:
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
 * phi_circuit     - statevector simulation of U_F on the support union only
   (simulate_reduced),
+* simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
   angles,
@@ -28,8 +29,8 @@ layers: it ends in |0> for odd k and in |+> for even k.  simulate_reduced
 therefore simulates the instance on S alone (relabelled 1..m in increasing
 order) and reads every amplitude or probability of the n-qubit state off
 that m-qubit state; the statevector cap applies to m, not n.
-phi_bruteforce and the fixed ansatz stay dense: they are the independent
-oracles the reduction is checked against.
+phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
+the independent references the reduction is checked against.
 """
 from __future__ import annotations
 
@@ -298,32 +299,17 @@ def restrict(inst: ForrelationInstance, qubits: Sequence[int]) -> ForrelationIns
     return ForrelationInstance(len(qubits), funcs)
 
 
-def _spread(qubits: Sequence[int]) -> np.ndarray:
-    """Full basis index of each basis index over ``qubits`` (bit i -> qubit qubits[i])."""
-    r = np.arange(1 << len(qubits), dtype=np.int64)
-    out = np.zeros_like(r)
-    for i, q in enumerate(qubits):
-        out |= ((r >> i) & 1) << (q - 1)
-    return out
-
-
 @dataclass(frozen=True)
 class ReducedState:
     """U_F|0...0> of an n-qubit instance, held as the state on its simulated
     qubits ``support`` (``state``, relabelled 1..m) times the free qubits'
     product state: |0> each when ``free_in_plus`` is false (odd k), |+> each
-    when it is true (even k).  Nothing here builds a 2^n vector except
-    full_state."""
+    when it is true (even k).  Nothing here builds a 2^n vector."""
 
     n: int
     support: tuple[int, ...]
     state: StateVector
     free_in_plus: bool
-
-    @property
-    def free(self) -> list[int]:
-        """The qubits outside ``support``, in increasing order."""
-        return [q for q in range(1, self.n + 1) if q not in self.support]
 
     @property
     def free_scale(self) -> float:
@@ -353,21 +339,6 @@ class ReducedState:
         a = self.amplitude(z)
         return a * a
 
-    def full_state(self) -> StateVector:
-        """The 2^n-amplitude state (for tests and verification); the n-qubit
-        statevector cap applies."""
-        if len(self.support) == self.n:
-            return self.state
-        full = init_zero(self.n)
-        index = _spread(self.support)
-        amps = self.state.amplitudes
-        if self.free_in_plus:
-            free = self.free
-            index = (index[:, None] | _spread(free)[None, :]).ravel()
-            amps = np.repeat(amps * self.free_scale, 1 << len(free))
-        full.amplitudes[index] = amps  # index[0] == 0 overwrites the initial |0...0>
-        return full
-
 
 def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     """U_F |0...0> simulated on simulated_qubits(inst) only.  The
@@ -378,15 +349,15 @@ def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
 
 
 def simulate_instance(inst: ForrelationInstance) -> StateVector:
-    """Final state U_F |0...0> on all n qubits, embedded from simulate_reduced."""
-    return simulate_reduced(inst).full_state()
+    """U_F |0...0> by a dense run on all n qubits, capped at n: the reference
+    that simulate_reduced is checked against."""
+    return apply_circuit(init_zero(inst.n), build_circuit(inst))
 
 
 def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit, simulated on the
-    support union: the reduced amplitude times the free qubits' factor."""
-    red = simulate_reduced(inst)
-    return _checked_phi(red.free_scale * float(red.state.amplitudes[0]))
+    support union (simulate_reduced)."""
+    return _checked_phi(simulate_reduced(inst).amplitude(0))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ def test_criterion_8_shot_convergence():
     trials = 0
     for s in samples:
         for seed in range(100):
-            model = kf.VqcModel(bias, shots=shots, seed=seed)
-            wrong += kf.vqc_classify(s.sample, model) != s.label
+            wrong += kf.vqc_classify(s.sample, bias, shots, seed) != s.label
             trials += 1
     rate = wrong / trials
     slack = 2.5758 * math.sqrt(delta * (1 - delta) / trials)  # 99% binomial CI
@@ -148,15 +147,12 @@ def test_criterion_8_shot_convergence():
     assert report(8, ok, f"sampled misclassification rate {rate:.5f} <= {delta + slack:.5f}, elapsed={elapsed:.0f}s")
 
 
-def test_criterion_9_generation_determinism(tmp_path, monkeypatch, capsys):
+def test_criterion_9_generation_determinism(tmp_path, cli_in_subprocess):
     paths = []
-    for name, threads in (("a.jsonl", "1"), ("b.jsonl", "4"), ("c.jsonl", "1")):
-        monkeypatch.setenv("KFORRELATION_THREADS", threads)
+    for name, threads in (("a.jsonl", 1), ("b.jsonl", 2), ("c.jsonl", 1)):
         out = str(tmp_path / name)
-        code = cli.main(["gen", "--n", "4", "--k", "5", "--pos", "6", "--neg", "6",
-                         "--seed", "19", "--out", out])
-        assert code == 0
+        cli_in_subprocess(["gen", "--n", "4", "--k", "5", "--pos", "6", "--neg", "6", "--seed", "19", "--out", out],
+                          threads)
         paths.append(out)
-    capsys.readouterr()
     ok = filecmp.cmp(paths[0], paths[1], shallow=False) and filecmp.cmp(paths[0], paths[2], shallow=False)
     assert report(9, ok, "byte-identical datasets across runs and thread settings")

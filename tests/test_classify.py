@@ -8,7 +8,6 @@ from kforrelation.classify import (
     VQC_BIAS_UPPER,
     DegenerateTrainingSetError,
     DualSolution,
-    VqcModel,
     default_bias,
     dual_objective,
     kernel,
@@ -62,9 +61,8 @@ def test_vqc_probability_promise_margins(promise_samples):
 
 def test_vqc_classify_constructive(pair33):
     pos, neg = pair33
-    model = VqcModel(bias=0.5)
-    assert vqc_classify(pos, model) == 1
-    assert vqc_classify(neg, model) == -1
+    assert vqc_classify(pos, 0.5) == 1
+    assert vqc_classify(neg, 0.5) == -1
 
 
 def test_vqc_classify_promise_any_bias(promise_samples):
@@ -72,30 +70,29 @@ def test_vqc_classify_promise_any_bias(promise_samples):
     biases = rng.uniform(VQC_BIAS_LOWER, VQC_BIAS_UPPER, size=10)
     for s in promise_samples:
         for b in biases:
-            assert vqc_classify(s.sample, VqcModel(float(b))) == s.label
+            assert vqc_classify(s.sample, float(b)) == s.label
 
 
-def test_vqc_model_validation():
-    with pytest.raises(ValueError):
-        VqcModel(bias=1.5)
-    with pytest.raises(ValueError):
-        VqcModel(bias=0.5, shots=0)
-    m = VqcModel.default_for_forrelation()
-    assert VQC_BIAS_LOWER < m.bias < VQC_BIAS_UPPER
+def test_vqc_model_validation(pair33):
+    pos, _ = pair33
+    with pytest.raises(ValueError, match="bias"):
+        vqc_classify(pos, 1.5)
+    with pytest.raises(ValueError, match="shots"):
+        vqc_classify(pos, 0.5, shots=0)
+    assert VQC_BIAS_LOWER < default_bias() < VQC_BIAS_UPPER
 
 
 def test_vqc_sampled_mode_constructive(pair33):
     pos, neg = pair33
-    model = VqcModel(default_bias(), shots=200, seed=5)
-    assert vqc_classify(pos, model) == 1
-    assert vqc_classify(neg, model) == -1
+    assert vqc_classify(pos, default_bias(), shots=200, seed=5) == 1
+    assert vqc_classify(neg, default_bias(), shots=200, seed=5) == -1
 
 
 def test_vqc_tie_goes_negative():
     # bias = 1 makes the threshold 0; p = 0 is not strictly greater
     neg = make_negative_sample(3, 3, 1, (1, 2, 3)).sample
     assert vqc_probability(neg) == 0.0
-    assert vqc_classify(neg, VqcModel(bias=1.0)) == -1
+    assert vqc_classify(neg, 1.0) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,19 @@ def test_qsvm_sampled_mode_training_pair(pair33):
 
 
 # ---------------------------------------------------------------------------
-# shot budget
+# shot count and budget
+
+
+@pytest.mark.parametrize("shots", [0, -2])
+@pytest.mark.parametrize("read", [
+    lambda pos, neg, shots: vqc_probability(pos, shots),
+    lambda pos, neg, shots: kernel(pos, neg, shots),
+    lambda pos, neg, shots: qsvm_train(pos, neg, shots=shots),
+    lambda pos, neg, shots: qsvm_classify(pos, DualSolution(1.0, 0.0, pos, neg, 1.0), shots),
+], ids=["vqc_probability", "kernel", "qsvm_train", "qsvm_classify"])
+def test_shots_below_one_rejected_on_every_read(pair33, read, shots):
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        read(*pair33, shots)
 
 
 def test_shot_budget_examples():
@@ -284,6 +293,5 @@ def test_sampled_mode_consistency_smoke():
     wrong = 0
     for s in samples:
         for seed in range(20):
-            model = VqcModel(default_bias(), shots=shots, seed=seed)
-            wrong += vqc_classify(s.sample, model) != s.label
+            wrong += vqc_classify(s.sample, default_bias(), shots, seed) != s.label
     assert wrong == 0

@@ -60,14 +60,10 @@ def test_gen_impossible_spec_is_runtime_error(tmp_path, capsys):
     assert "generation failed" in stderr
 
 
-def test_gen_deterministic_across_runs_and_threads(tmp_path, capsys, monkeypatch):
+def test_gen_deterministic_across_runs_and_threads(tmp_path, cli_in_subprocess):
     argv1, out1 = gen_args(tmp_path, name="a.jsonl")
     argv2, out2 = gen_args(tmp_path, name="b.jsonl")
-    monkeypatch.setenv("KFORRELATION_THREADS", "1")
-    assert cli.main(argv1) == 0
-    monkeypatch.setenv("KFORRELATION_THREADS", "8")
-    assert cli.main(argv2) == 0
-    capsys.readouterr()
+    assert cli_in_subprocess(argv1, 1) == cli_in_subprocess(argv2, 2)
     assert filecmp.cmp(out1, out2, shallow=False)
 
 
@@ -185,7 +181,8 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
 @pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"],
                                    ["classify", "--bias", "5"], ["classify", "--bias", "-1.5"],
                                    ["classify", "--bias", "nan"], ["gen", "--tries", "-1"],
-                                   ["verify", "--n", "0", "--k", "3"], ["verify", "--k", "0", "--n", "2"]])
+                                   ["verify", "--n", "0", "--k", "3"], ["verify", "--k", "0", "--n", "2"],
+                                   ["verify", "--n", "5", "--k", "3"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -199,6 +196,12 @@ def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
         cli.main(argv)
     assert err.value.code == 64
     assert flags[1] in capsys.readouterr().err
+
+
+def test_sweep_size_check_matches_the_function_count():
+    for n in range(1, 7):
+        for k in range(1, 15):
+            assert cli._sweep_too_large(n, k) == (len(forrelation.restricted_functions(n)) ** k > 4096)
 
 
 def test_verify_injected_fault_exits_one(capsys, monkeypatch):

@@ -93,7 +93,6 @@ def test_full_support_skips_relabelling(k):
     red = simulate_reduced(inst)
     assert red.support == tuple(range(1, inst.n + 1))
     assert restrict(inst, red.support) is inst
-    assert red.full_state() is red.state
     check_against_dense(inst)
 
 
