@@ -9,14 +9,10 @@ from .qstate import (
     Gate,
     GateKind,
     StateVector,
-    amplitude,
     apply_circuit,
     apply_gate,
-    bits_to_index,
     controlled_phase,
-    equal_up_to_global_phase,
     hadamard_all,
-    index_to_bits,
     init_zero,
     phase_flip,
     sample_measurements,

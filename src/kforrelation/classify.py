@@ -15,9 +15,10 @@ Two classifiers, both using the instance circuit U_F(x) as the feature map
 Every probability is available exactly (statevector) or as a shot-sampled
 frequency; shots=None selects exact mode throughout.  A rule reads one or
 two basis outcomes, whose counts among i.i.d. measurements are exactly
-multinomial, so shot mode is one multinomial draw over them.  Every circuit is
-simulated on the union of its function supports only (see
-forrelation.simulate_reduced), so no call builds a 2^n vector.
+multinomial, so shot mode is one multinomial draw over them.  Every circuit,
+the kernel's included, is a forrelation instance run by
+forrelation.simulate_reduced on the union of its function supports only, so
+no call builds a 2^n vector.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forrelation import EncodedSample, build_circuit, decode, restrict, simulate_reduced, simulated_qubits
-from .qstate import apply_circuit, init_zero
+from .forrelation import CONSTANT, EncodedSample, ForrelationInstance, decode, simulate_reduced
 
 VQC_BIAS_LOWER = 7 / 25
 VQC_BIAS_UPPER = 4999 / 5000
@@ -76,19 +76,19 @@ def vqc_classify(sample: EncodedSample, bias: float, shots: int | None = None, s
 def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed: int = 0) -> float:
     """Squared feature fidelity |<phi(xi)|phi(xj)>|^2.
 
-    Computed as the |0...0> probability of U_F(xi)^dagger U_F(xj) |0...0>;
-    the adjoint is the reversed gate list because Hadamard layers and phase
-    flips are self-inverse.  The circuit runs on the union of both samples'
-    supports: it has 2k+2 Hadamard layers, so every other qubit returns to
-    |0> and contributes a factor of exactly 1.
+    Computed as the |0...0> probability of U_F(xi)^dagger U_F(xj) |0...0>,
+    which is itself a forrelation circuit: xj's functions, a constant, then
+    xi's functions in reverse order.  The adjoint of U_F(xi) is its reversed
+    gate list (Hadamard layers and phase flips are self-inverse), and the
+    constant's identity placeholder is all that separates the two middle
+    Hadamard layers.  The 2k+1 functions make k odd, so simulate_reduced
+    leaves every free qubit in |0> with a factor of exactly 1.
     """
     if (xi.n, xi.k) != (xj.n, xj.k):
         raise ValueError(f"kernel arguments disagree on shape: ({xi.n},{xi.k}) vs ({xj.n},{xj.k})")
     fi, fj = decode(xi), decode(xj)
-    qubits = simulated_qubits(fi, fj)
-    gates = build_circuit(restrict(fj, qubits)) + list(reversed(build_circuit(restrict(fi, qubits))))
-    state = apply_circuit(init_zero(len(qubits)), gates)
-    value = _probabilities([float(state.amplitudes[0]) ** 2], shots, seed)[0]
+    inst = ForrelationInstance(xi.n, fj.functions + (CONSTANT,) + fi.functions[::-1])
+    value = _probabilities([simulate_reduced(inst).probability(0)], shots, seed)[0]
     if value > 1.0 + 1e-12:
         raise RuntimeError(f"kernel value exceeds 1: {value!r}")
     return value

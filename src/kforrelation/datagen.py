@@ -260,13 +260,22 @@ def write_dataset(spec: DatasetSpec, samples: Iterable[LabeledSample], path: str
             fh.write(json.dumps(_sample_record(s)) + "\n")
 
 
+def _require_ints(lineno: int, obj: dict, names: Iterable[str]) -> None:
+    """Each named field present in obj must be a JSON integer: a float, bool
+    or string is rejected, not coerced."""
+    for name in names:
+        if name in obj and type(obj[name]) is not int:
+            raise DatasetFormatError(lineno, f"{name} must be a JSON integer, got {obj[name]!r}")
+
+
 def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
     """Inverse of write_dataset.  An empty file is an empty dataset.
 
     Raises DatasetFormatError (with the offending line number) on malformed
-    JSON, a line that is not a JSON object, malformed blocks, label/phi
-    inconsistencies, or a record whose (n, k) differs from the header's or,
-    without a header, from the first record's.
+    JSON, a line that is not a JSON object, a header field or a record's n,
+    k or label that is not a JSON integer, bits that are not a string,
+    malformed blocks, label/phi inconsistencies, or a record whose (n, k)
+    differs from the header's or, without a header, from the first record's.
     """
     spec: DatasetSpec | None = None
     shape: tuple[int, int] | None = None
@@ -285,15 +294,19 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
             if "bits" not in obj:
                 if lineno != 1:
                     raise DatasetFormatError(lineno, "header record apart from line 1")
+                _require_ints(lineno, obj, obj.keys())
                 try:
                     spec = DatasetSpec(**obj)
                 except (TypeError, ValueError) as exc:
                     raise DatasetFormatError(lineno, f"bad header: {exc}") from exc
                 shape = (spec.n, spec.k)
                 continue
+            _require_ints(lineno, obj, ("n", "k", "label"))
+            if not isinstance(obj["bits"], str):
+                raise DatasetFormatError(lineno, f"bits must be a string, got {obj['bits']!r}")
             try:
-                sample = sample_from_string(int(obj["n"]), int(obj["k"]), obj["bits"])
-                labeled = LabeledSample(sample, int(obj["label"]), float(obj["phi"]), obj["provenance"])
+                sample = sample_from_string(obj["n"], obj["k"], obj["bits"])
+                labeled = LabeledSample(sample, obj["label"], float(obj["phi"]), obj["provenance"])
             except (KeyError, TypeError, ValueError, MalformedSampleError) as exc:
                 raise DatasetFormatError(lineno, str(exc)) from exc
             if shape is None:

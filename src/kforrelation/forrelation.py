@@ -278,14 +278,13 @@ def build_circuit(inst: ForrelationInstance) -> list[Gate]:
     return gates
 
 
-def simulated_qubits(*instances: ForrelationInstance) -> tuple[int, ...]:
-    """The qubits a reduced simulation of these instances keeps: the sorted
-    union of their function supports, or qubit 1 alone when every function
-    is constant (a state needs at least one qubit)."""
+def simulated_qubits(inst: ForrelationInstance) -> tuple[int, ...]:
+    """The qubits a reduced simulation of inst keeps: the sorted union of
+    its function supports, or qubit 1 alone when every function is constant
+    (a state needs at least one qubit)."""
     qubits = set()
-    for inst in instances:
-        for f in inst.functions:
-            qubits |= f.bits
+    for f in inst.functions:
+        qubits |= f.bits
     return tuple(sorted(qubits)) or (1,)
 
 

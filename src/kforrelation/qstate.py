@@ -10,8 +10,6 @@ Conventions (fixed; everything downstream assumes them):
 
 * Qubits are numbered 1..n.  Qubit j maps to bit j-1 of the basis-state
   integer, so qubit 1 is the least significant bit.
-* Bitstrings render qubit 1 first: "011" means qubit1=0, qubit2=1,
-  qubit3=1 and denotes basis index 6.
 * A phase flip with an empty target set is the identity placeholder used
   for constant Boolean functions.
 * ControlledPhase(targets, pi) is computed with an exact -1 factor so it
@@ -27,7 +25,6 @@ scale.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -146,29 +143,6 @@ def init_zero(n: int) -> StateVector:
     return StateVector(n, amp)
 
 
-def bits_to_index(bits: str) -> int:
-    """Basis index of a qubit-1-first bitstring."""
-    z = 0
-    for j, c in enumerate(bits):
-        if c == "1":
-            z |= 1 << j
-        elif c != "0":
-            raise ValueError(f"bitstring must contain only 0/1, got {bits!r}")
-    return z
-
-
-def index_to_bits(z: int, n: int) -> str:
-    """Qubit-1-first bitstring for basis index z."""
-    return "".join("1" if (z >> j) & 1 else "0" for j in range(n))
-
-
-def amplitude(state: StateVector, z: str) -> float:
-    """Amplitude of basis state z (given as a qubit-1-first bitstring)."""
-    if len(z) != state.n_qubits:
-        raise ValueError(f"bitstring length {len(z)} != n_qubits {state.n_qubits}")
-    return float(state.amplitudes[bits_to_index(z)])
-
-
 def _check_norm(amp: np.ndarray) -> None:
     nrm = float(np.vdot(amp, amp))
     if abs(nrm - 1.0) > NORM_TOL:
@@ -271,10 +245,10 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     return state
 
 
-def sample_measurements(state: StateVector, shots: int, seed: int) -> Counter:
+def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """shots i.i.d. computational-basis draws; deterministic for a given seed.
 
-    Returns a Counter mapping qubit-1-first bitstrings to counts.
+    Returns the count of each basis index: an int array of length 2^n.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -282,9 +256,7 @@ def sample_measurements(state: StateVector, shots: int, seed: int) -> Counter:
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     draws = rng.choice(p.size, size=shots, p=p)
-    values, counts = np.unique(draws, return_counts=True)
-    n = state.n_qubits
-    return Counter({index_to_bits(int(v), n): int(c) for v, c in zip(values, counts)})
+    return np.bincount(draws, minlength=p.size)
 
 
 def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
@@ -303,17 +275,3 @@ def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
             _apply_inplace(col, n, g)
     return out.T
 
-
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when a == phase * b elementwise within tol, for |phase| = 1."""
-    a = np.asarray(a, dtype=np.complex128).ravel()
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    if a.shape != b.shape:
-        return False
-    ref = int(np.argmax(np.abs(b)))
-    if abs(b[ref]) <= tol:
-        return bool(np.max(np.abs(a)) <= tol)
-    phase = a[ref] / b[ref]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) <= tol)

@@ -136,13 +136,14 @@ def test_classify_non_object_line_is_runtime_error(dataset, tmp_path, capsys, va
     assert f"line {kept + 1}:" in stderr
 
 
-def test_classify_header_only_dataset(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["vqc", "qsvm"])
+def test_classify_header_only_dataset(mode, tmp_path, capsys):
     path = tmp_path / "header.jsonl"
     path.write_text('{"n": 4, "k": 3, "count_pos": 0, "count_neg": 0, "seed": 0, "max_rejection_tries": 1}\n')
-    code, stdout, _ = run_cli(["classify", "--data", str(path)], capsys)
+    code, stdout, _ = run_cli(["classify", "--data", str(path), "--mode", mode], capsys)
     assert code == 0
-    summary = json.loads(stdout)
-    assert summary["samples"] == 0 and summary["accuracy"] is None
+    assert json.loads(stdout) == {"type": "summary", "mode": mode, "samples": 0, "correct": 0,
+                                  "accuracy": None, "shots": None}
 
 
 def test_classify_mode_validation(dataset, capsys):
@@ -182,7 +183,8 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
                                    ["classify", "--bias", "5"], ["classify", "--bias", "-1.5"],
                                    ["classify", "--bias", "nan"], ["gen", "--tries", "-1"],
                                    ["verify", "--n", "0", "--k", "3"], ["verify", "--k", "0", "--n", "2"],
-                                   ["verify", "--n", "5", "--k", "3"]])
+                                   ["verify", "--n", "5", "--k", "3"], ["gen", "--seed", "-1"],
+                                   ["classify", "--seed", "-1"], ["verify", "--seed", "-1"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

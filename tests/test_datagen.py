@@ -297,6 +297,30 @@ def test_read_rejects_mixed_shapes(tmp_path, lines, bad_line):
     assert "(n, k)" in str(err.value)
 
 
+HEADER_N3 = '{"n": 3, "k": 3, "count_pos": 0, "count_neg": 1, "seed": 0, "max_rejection_tries": 1}\n'
+RECORD_NEG = '{"n": 3, "k": 3, "bits": "100010001", "label": -1, "phi": "0.0", "provenance": "rejection_sampled"}\n'
+
+
+@pytest.mark.parametrize("lines,bad_line,field", [
+    ([HEADER_N3, RECORD_NEG.replace('"n": 3', '"n": 3.9')], 2, "n"),
+    ([HEADER_N3, RECORD_NEG.replace('"label": -1', '"label": -1.7')], 2, "label"),
+    ([HEADER_N3, RECORD_NEG.replace('"k": 3', '"k": true')], 2, "k"),
+    ([HEADER_N3, RECORD_NEG.replace('"n": 3', '"n": "3"')], 2, "n"),
+    ([RECORD_NEG.replace('"n": 3', '"n": 3.0')], 1, "n"),
+    ([HEADER_N3, RECORD_NEG.replace('"bits": "100010001"', '"bits": ["1","0","0","0","1","0","0","0","1"]')], 2, "bits"),
+    ([HEADER_N3.replace('"n": 3', '"n": 4.0')], 1, "n"),
+    ([HEADER_N3.replace('"seed": 0', '"seed": false')], 1, "seed"),
+    ([HEADER_N3.replace('"count_neg": 1', '"count_neg": "1"')], 1, "count_neg"),
+])
+def test_read_rejects_non_integer_fields(tmp_path, lines, bad_line, field):
+    path = tmp_path / "typed.jsonl"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetFormatError) as err:
+        read_dataset(str(path))
+    assert err.value.line_number == bad_line
+    assert f"line {bad_line}: {field} must be" in str(err.value)
+
+
 def test_read_header_only_file(tmp_path):
     path = tmp_path / "header.jsonl"
     path.write_text(HEADER_N4)

@@ -20,6 +20,7 @@ from kforrelation.datagen import make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
     CONSTANT,
     ForrelationInstance,
+    build_circuit,
     decode,
     encode,
     function_of,
@@ -34,7 +35,7 @@ from kforrelation.forrelation import (
     simulate_reduced,
     simulated_qubits,
 )
-from kforrelation.qstate import CapacityError, init_zero
+from kforrelation.qstate import CapacityError, init_zero, phase_flip
 
 BRUTE_FORCE_BITS = 16   # k*n at which the exhaustive sum still takes milliseconds
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -178,7 +179,14 @@ def test_kernel_on_disjoint_supports(k):
     fi = [function_of(1, 2), function_of(2), CONSTANT, function_of(1)][:k]
     fj = [function_of(5, 6, 7), CONSTANT, function_of(6), function_of(5, 7)][:k]
     xi, xj = encode(ForrelationInstance(8, tuple(fi))), encode(ForrelationInstance(8, tuple(fj)))
-    assert simulated_qubits(decode(xi), decode(xj)) == (1, 2, 5, 6, 7)
+    # The kernel circuit U_F(xi)^dagger U_F(xj) is the instance xj, constant,
+    # reversed xi: its gates are xj's, the identity placeholder, xi's reversed.
+    inst = ForrelationInstance(8, decode(xj).functions + (CONSTANT,) + decode(xi).functions[::-1])
+    gates = build_circuit(inst)
+    assert gates[: 2 * k + 1] == build_circuit(decode(xj))
+    assert gates[2 * k + 1] == phase_flip()
+    assert gates[2 * k + 2 :] == build_circuit(decode(xi))[::-1]
+    assert simulated_qubits(inst) == (1, 2, 5, 6, 7)
     assert kernel(xi, xj) == pytest.approx(dense_kernel(xi, xj), abs=1e-12)
     assert kernel(xi, xj, shots=300, seed=4) == pytest.approx(kernel(xi, xj), abs=0.2)
 
