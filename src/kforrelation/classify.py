@@ -47,15 +47,15 @@ def default_bias() -> float:
 
 def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[float]:
     """``exact`` (probabilities of distinct outcomes), or their frequencies
-    in one multinomial draw of ``shots`` over them and the rest.  Rounding
-    can put a probability an ulp above 1, which the draw rejects: clip it.
-    Every probability read comes here, so every read rejects shots < 1."""
+    in one multinomial draw of ``shots`` over them and the rest.  Each exact
+    probability is one rounding of a value <= 1 (ReducedState.probability),
+    so none exceeds 1.  Every probability read comes here, so every read
+    rejects shots < 1."""
     if shots is None:
         return exact
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = [min(q, 1.0) for q in exact]
-    counts = np.random.default_rng(seed).multinomial(shots, p + [max(0.0, 1.0 - sum(p))])
+    counts = np.random.default_rng(seed).multinomial(shots, exact + [max(0.0, 1.0 - sum(exact))])
     return [int(c) / shots for c in counts[:-1]]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
@@ -268,13 +269,27 @@ def _require_ints(lineno: int, obj: dict, names: Iterable[str]) -> None:
             raise DatasetFormatError(lineno, f"{name} must be a JSON integer, got {obj[name]!r}")
 
 
+def _read_phi(lineno: int, obj: dict) -> float:
+    """phi as write_dataset writes it: a JSON string holding a finite number
+    with |phi| <= 1.  Anything else (true, 1, null, "inf", "nan", "1.5")
+    raises DatasetFormatError."""
+    phi = obj.get("phi")
+    try:
+        value = float(phi) if isinstance(phi, str) else math.nan
+    except ValueError:
+        value = math.nan
+    if not abs(value) <= 1.0:
+        raise DatasetFormatError(lineno, f"phi must be a string holding a number in [-1, 1], got {phi!r}")
+    return value
+
+
 def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
     """Inverse of write_dataset.  An empty file is an empty dataset.
 
     Raises DatasetFormatError (with the offending line number) on malformed
     JSON, a line that is not a JSON object, a header field or a record's n,
-    k or label that is not a JSON integer, bits that are not a string,
-    malformed blocks, label/phi inconsistencies, or a record whose (n, k)
+    k or label that is not a JSON integer, bits that are not a string, phi
+    that is not a string holding a number in [-1, 1], malformed blocks, label/phi inconsistencies, or a record whose (n, k)
     differs from the header's or, without a header, from the first record's.
     """
     spec: DatasetSpec | None = None
@@ -304,9 +319,10 @@ def read_dataset(path: str) -> tuple[DatasetSpec | None, list[LabeledSample]]:
             _require_ints(lineno, obj, ("n", "k", "label"))
             if not isinstance(obj["bits"], str):
                 raise DatasetFormatError(lineno, f"bits must be a string, got {obj['bits']!r}")
+            phi = _read_phi(lineno, obj)
             try:
                 sample = sample_from_string(obj["n"], obj["k"], obj["bits"])
-                labeled = LabeledSample(sample, obj["label"], float(obj["phi"]), obj["provenance"])
+                labeled = LabeledSample(sample, obj["label"], phi, obj["provenance"])
             except (KeyError, TypeError, ValueError, MalformedSampleError) as exc:
                 raise DatasetFormatError(lineno, str(exc)) from exc
             if shape is None:

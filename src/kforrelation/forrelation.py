@@ -13,8 +13,8 @@ and lies in [-1, 1].  This module provides:
 * restricted_functions - the allowed function family in its fixed order,
   and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
-* phi_circuit     - statevector simulation of U_F on the support union only
-  (simulate_reduced),
+* phi_circuit     - exact statevector simulation of U_F on the support union
+  only (simulate_reduced), equal to phi_bruteforce bit for bit,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -28,7 +28,9 @@ qubits).  A qubit outside S ("free") sees nothing but the k+1 Hadamard
 layers: it ends in |0> for odd k and in |+> for even k.  simulate_reduced
 therefore simulates the instance on S alone (relabelled 1..m in increasing
 order) and reads every amplitude or probability of the n-qubit state off
-that m-qubit state; the statevector cap applies to m, not n.
+that m-qubit state; the statevector cap applies to m, not n.  It runs the
+circuit with qstate.run_sign_circuit, whose amplitudes are exact scaled
+values, and rounds once when an amplitude or probability is read.
 phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
 the independent references the reduction is checked against.
 """
@@ -51,6 +53,7 @@ from .qstate import (
     hadamard_all,
     init_zero,
     phase_flip,
+    run_sign_circuit,
 )
 
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
@@ -288,33 +291,21 @@ def simulated_qubits(inst: ForrelationInstance) -> tuple[int, ...]:
     return tuple(sorted(qubits)) or (1,)
 
 
-def restrict(inst: ForrelationInstance, qubits: Sequence[int]) -> ForrelationInstance:
-    """The instance on ``qubits`` only (a sorted superset of its support),
-    qubit qubits[i] relabelled i+1."""
-    if len(qubits) == inst.n:  # every qubit kept: the relabelling is the identity
-        return inst
-    label = {q: i for i, q in enumerate(qubits, start=1)}
-    funcs = tuple(BooleanFunctionSpec(frozenset(label[b] for b in f.bits)) for f in inst.functions)
-    return ForrelationInstance(len(qubits), funcs)
-
-
 @dataclass(frozen=True)
 class ReducedState:
     """U_F|0...0> of an n-qubit instance, held as the state on its simulated
     qubits ``support`` (``state``, relabelled 1..m) times the free qubits'
     product state: |0> each when ``free_in_plus`` is false (odd k), |+> each
-    when it is true (even k).  Nothing here builds a 2^n vector."""
+    when it is true (even k).  ``state`` holds exact scaled amplitudes: an
+    amplitude is its entry divided by sqrt(2^``exponent``), which takes in
+    the free qubits' 2^(-1/2) each, and that one division is the only
+    rounding.  Nothing here builds a 2^n vector."""
 
     n: int
     support: tuple[int, ...]
     state: StateVector
     free_in_plus: bool
-
-    @property
-    def free_scale(self) -> float:
-        """Factor the free qubits contribute to an amplitude that is not zero
-        for a free bit: 1 for |0>, 2^(-1/2) per qubit for |+>."""
-        return 2.0 ** (-0.5 * (self.n - len(self.support))) if self.free_in_plus else 1.0
+    exponent: int
 
     def full_index(self, r: int) -> int:
         """Full basis index of reduced index r, every free bit 0."""
@@ -323,8 +314,8 @@ class ReducedState:
             z |= ((r >> i) & 1) << (q - 1)
         return z
 
-    def amplitude(self, z: int) -> float:
-        """<z| U_F |0...0> for a full n-qubit basis index z."""
+    def _entry(self, z: int) -> float:
+        """The scaled amplitude of a full n-qubit basis index z."""
         if not 0 <= z < 1 << self.n:
             raise ValueError(f"basis index {z} out of range for {self.n} qubits")
         r = 0
@@ -332,19 +323,36 @@ class ReducedState:
             r |= ((z >> (q - 1)) & 1) << i
         if not self.free_in_plus and z != self.full_index(r):
             return 0.0  # a free qubit in |0> has no weight on a set bit
-        return self.free_scale * float(self.state.amplitudes[r])
+        return float(self.state.amplitudes[r])
+
+    def amplitude(self, z: int) -> float:
+        """<z| U_F |0...0>: the entry divided by sqrt(2) for an odd exponent,
+        then by an exact power of two.  That gives the bits phi_bruteforce
+        gets by dividing by sqrt(2^e) in one step, without overflow at any n."""
+        a = self._entry(z)
+        if self.exponent % 2:
+            a /= math.sqrt(2.0)
+        return math.ldexp(a, -(self.exponent // 2))
 
     def probability(self, z: int) -> float:
-        a = self.amplitude(z)
-        return a * a
+        """|<z| U_F |0...0>|^2: one rounding of the exact square, so a
+        probability of at most 1 never reads above 1."""
+        a = self._entry(z)
+        return math.ldexp(a * a, -self.exponent)
 
 
 def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
-    """U_F |0...0> simulated on simulated_qubits(inst) only.  The
-    statevector cap applies to that qubit count, not to n."""
+    """U_F |0...0> simulated on simulated_qubits(inst) only, by
+    qstate.run_sign_circuit.  The statevector cap applies to that qubit
+    count, not to n."""
     support = simulated_qubits(inst)
-    state = apply_circuit(init_zero(len(support)), build_circuit(restrict(inst, support)))
-    return ReducedState(inst.n, support, state, free_in_plus=inst.k % 2 == 0)
+    bit = {q: 1 << i for i, q in enumerate(support)}
+    masks = [sum(map(bit.__getitem__, f.bits)) for f in inst.functions]
+    state, exponent = run_sign_circuit(len(support), masks)
+    free_in_plus = inst.k % 2 == 0
+    if free_in_plus:
+        exponent += inst.n - len(support)
+    return ReducedState(inst.n, support, state, free_in_plus, exponent)
 
 
 def simulate_instance(inst: ForrelationInstance) -> StateVector:

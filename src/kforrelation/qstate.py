@@ -21,6 +21,12 @@ Conventions (fixed; everything downstream assumes them):
 A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
 +-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
 scale.
+
+Two ways to run a circuit share that kernel.  run_sign_circuit runs the
+forrelation circuit of a list of sign masks with exact arithmetic and one
+rounding left to the caller; every reduced simulation uses it.  The Gate
+engine (apply_gate, apply_circuit, unitary_of) applies any gate of the
+family and rounds at every layer; it is the dense reference.
 """
 from __future__ import annotations
 
@@ -112,8 +118,9 @@ def swap(a: int, b: int) -> Gate:
 
 @dataclass
 class StateVector:
-    """2^n float64 amplitudes with unit norm; any other array raises
-    ValueError.
+    """2^n float64 amplitudes; any other array raises ValueError.  The Gate
+    engine keeps them at unit norm; run_sign_circuit returns them scaled by
+    2^(e/2), e in {0, 1}.
 
     A value type: move it freely between threads, mutate from one writer.
     Gate application updates ``amplitudes`` in place.
@@ -162,7 +169,9 @@ def _sylvester(qubits: int) -> np.ndarray:
 _SYLVESTER = _sylvester(WHT_BLOCK_QUBITS)
 
 
-def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
+def _wht_inplace(amp: np.ndarray, n: int) -> None:
+    """The unnormalised Walsh-Hadamard transform: amp becomes S amp, S the
+    +-1 matrix (-1)^popcount(x & y) of order 2^n."""
     # Qubits low+1..low+c form axis 1 of amp.reshape(-1, 2^c, 2^low); H on
     # all of them is the +-1 matrix applied along that axis.  Slabs cap the
     # matmul temporary at WHT_SLAB amplitudes.
@@ -185,7 +194,21 @@ def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
                     blk = view[o : o + rows, :, i : i + cols]
                     blk[...] = h @ blk
         low += c
+
+
+def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
+    _wht_inplace(amp, n)
     amp *= 2.0 ** (-0.5 * n)
+
+
+def _flip_inplace(amp: np.ndarray, n: int, mask: int) -> None:
+    """Exact -1 on every basis state x with x & mask == mask."""
+    sel: list = [slice(None)] * n  # axis n-q of amp.reshape([2]*n) is qubit q
+    while mask:  # one pass per set bit: bit q-1 is qubit q
+        low = mask & -mask
+        sel[n - low.bit_length()] = 1
+        mask ^= low
+    amp.reshape((2,) * n)[tuple(sel)] *= -1.0
 
 
 def _swap_inplace(amp: np.ndarray, n: int, targets: frozenset[int]) -> None:
@@ -211,10 +234,7 @@ def _apply_inplace(amp: np.ndarray, n: int, gate: Gate) -> bool:
         # the all-ones subspace of the targets.
         if not gate.targets or (gate.kind is GateKind.CONTROLLED_PHASE and gate.angle == 0.0):
             return False
-        sel: list = [slice(None)] * n  # axis n-q of amp.reshape([2]*n) is qubit q
-        for q in gate.targets:
-            sel[n - q] = 1
-        amp.reshape((2,) * n)[tuple(sel)] *= -1.0
+        _flip_inplace(amp, n, sum(1 << (q - 1) for q in gate.targets))
     elif gate.kind is GateKind.SWAP:
         _swap_inplace(amp, n, gate.targets)
     else:  # pragma: no cover
@@ -243,6 +263,37 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     for g in gates:
         apply_gate(state, g)
     return state
+
+
+def run_sign_circuit(m: int, masks: Sequence[int]) -> tuple[StateVector, int]:
+    """H^m D_k H^m ... D_1 H^m |0...0> on m qubits, where D_i is -1 on every
+    basis state x with x & masks[i] == masks[i] (mask 0 is the identity).
+
+    Returns (state, e): the circuit's amplitudes are the state's divided by
+    sqrt(2^e), with e = (k+1)*m mod 2, a factor left for the caller to apply
+    with one rounding.  The Hadamard layers run unnormalised, and layer j is
+    rescaled by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
+    sqrt(2) at any k and each stays an exact dyadic rational while its
+    numerator fits in 53 bits.  Each sign layer is an exact in-place flip.
+    Each gate's norm is recorded, and all are checked against NORM_TOL before
+    the state is returned.
+    """
+    state = init_zero(m)
+    amp = state.amplitudes
+    k = len(masks)
+    norms = []  # sum |a|^2 after each gate, over the value it should have (1 or 2)
+    for j in range(k + 1):
+        if j and masks[j - 1]:
+            _flip_inplace(amp, m, masks[j - 1])
+            norms.append(np.vdot(amp, amp) / norm2)
+        _wht_inplace(amp, m)
+        amp *= 2.0 ** ((j * m) // 2 - ((j + 1) * m) // 2)
+        norm2 = 2.0 ** ((j + 1) * m % 2)
+        norms.append(np.vdot(amp, amp) / norm2)
+    drift = np.abs(np.array(norms) - 1.0)
+    if drift.max() > NORM_TOL:
+        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {norms[int(drift.argmax())]!r} times its exact value")
+    return state, (k + 1) * m % 2
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray:

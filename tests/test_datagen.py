@@ -321,6 +321,18 @@ def test_read_rejects_non_integer_fields(tmp_path, lines, bad_line, field):
     assert f"line {bad_line}: {field} must be" in str(err.value)
 
 
+@pytest.mark.parametrize("record,phi", [(RECORD_N3, '"phi": "1"'), (RECORD_NEG, '"phi": "0.0"')],
+                         ids=["positive", "negative"])
+@pytest.mark.parametrize("bad", ["true", "1", "null", '"inf"', '"nan"', '"1.5"'])
+def test_read_rejects_phi_that_is_not_a_string_in_range(tmp_path, record, phi, bad):
+    path = tmp_path / "phi.jsonl"
+    path.write_text(HEADER_N3 + record + record.replace(phi, f'"phi": {bad}'))
+    with pytest.raises(DatasetFormatError) as err:
+        read_dataset(str(path))
+    assert err.value.line_number == 3
+    assert "line 3: phi must be a string holding a number in [-1, 1]" in str(err.value)
+
+
 def test_read_header_only_file(tmp_path):
     path = tmp_path / "header.jsonl"
     path.write_text(HEADER_N4)

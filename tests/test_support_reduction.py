@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kforrelation import classify
+from kforrelation import classify, qstate
 from kforrelation.classify import DualSolution, kernel, negative_target_index, qsvm_classify, vqc_probability
 from kforrelation.datagen import make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
@@ -28,7 +28,6 @@ from kforrelation.forrelation import (
     phi_bruteforce,
     phi_circuit,
     random_instance,
-    restrict,
     restricted_functions,
     simulate_fixed_ansatz,
     simulate_instance,
@@ -65,7 +64,7 @@ def check_against_dense(inst):
     phi = phi_circuit(inst)
     assert phi == pytest.approx(dense[0].real, abs=1e-12)
     if inst.k * inst.n <= BRUTE_FORCE_BITS:
-        assert phi == pytest.approx(phi_bruteforce(inst), abs=1e-12)
+        assert phi == phi_bruteforce(inst)   # both round one exact value once
     assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
     red = simulate_reduced(inst)
     for z in range(1 << inst.n):
@@ -74,6 +73,9 @@ def check_against_dense(inst):
 
 @SETTINGS
 @given(instances())
+@example(instance_of(1, {1}))               # n = 1, k = 1
+@example(instance_of(2, {1, 2}, ()))        # n = 2, even k
+@example(instance_of(8, {2, 5}, {2}))       # even k: free qubits 1, 3, 4, 6, 7, 8 end in |+>
 def test_reduced_matches_dense_and_bruteforce(inst):
     check_against_dense(inst)
 
@@ -93,7 +95,6 @@ def test_full_support_skips_relabelling(k):
     inst = ForrelationInstance(6 if k >= 3 else 5 if k == 2 else 3, tuple(funcs))
     red = simulate_reduced(inst)
     assert red.support == tuple(range(1, inst.n + 1))
-    assert restrict(inst, red.support) is inst
     check_against_dense(inst)
 
 
@@ -154,11 +155,19 @@ def test_shot_frequencies_of_complementary_outcomes_sum_to_one():
         assert p0 + p1 == 1.0
 
 
-def test_shot_mode_clips_a_probability_rounded_above_one():
-    inst = instance_of(1, ())                    # H H |0>: two roundings of 2^-1/2
-    x = encode(inst)
-    assert vqc_probability(x) > 1.0
-    assert vqc_probability(x, SHOTS, 0) == 1.0
+def test_probability_of_a_sure_outcome_is_exactly_one():
+    x = encode(instance_of(1, ()))               # H H |0> = |0>, with no 2^-1/2 rounded on the way
+    assert vqc_probability(x) == 1.0
+    calls = probability_reads(vqc_probability, x, SHOTS, 0)
+    assert calls == [([1.0], [1.0])]             # every shot lands on outcome 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_probability_is_one_rounding_of_the_exact_square(n):
+    # Every qubit ends in |+>: p0 = 2^-n exactly, while the rounded
+    # amplitude 2^(-n/2) squared reads 1 ulp below 2^-n for odd n.
+    x = encode(ForrelationInstance(n, (CONSTANT,) * 2))
+    assert vqc_probability(x) == 2.0 ** -n
 
 
 @SETTINGS
@@ -246,6 +255,61 @@ def test_phi_circuit_at_n40_beyond_the_state_cap():
         init_zero(27)
     with pytest.raises(CapacityError):
         simulate_instance(inst)   # the full state is still capped
+
+
+@pytest.mark.parametrize("inst", [
+    instance_of(2, *[{1, 2}] * 1500),
+    instance_of(3, *[{1, 2, 3}, {1}, {2, 3}] * 467),
+], ids=["m2-k1500", "m3-k1401"])
+def test_long_circuits_stay_in_range(inst):
+    # Unscaled, the amplitudes would grow by 2^(m/2) per Hadamard layer and
+    # overflow float64 long before the last one.
+    dense = simulate_instance(inst).amplitudes
+    assert phi_circuit(inst) == pytest.approx(float(dense[0]), abs=1e-12)
+    red = simulate_reduced(inst)
+    assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
+
+
+@pytest.mark.parametrize("inst", [
+    instance_of(14, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14}),
+    instance_of(15, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14, 15}, {2, 14}),
+], ids=["m14-k5", "m15-k6"])
+def test_runner_past_two_hadamard_blocks_matches_dense(inst):
+    # m above 2 * WHT_BLOCK_QUBITS: three Sylvester blocks, the upper ones
+    # applied along a strided axis in slabs.
+    assert inst.n > 2 * qstate.WHT_BLOCK_QUBITS
+    dense = simulate_instance(inst).amplitudes
+    red = simulate_reduced(inst)
+    assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
+
+
+def test_support_above_the_state_cap_raises():
+    inst = instance_of(27, *({3 * i + 1, 3 * i + 2, 3 * i + 3} for i in range(9)))
+    assert len(simulated_qubits(inst)) == 27
+    with pytest.raises(CapacityError):
+        simulate_reduced(inst)
+
+
+def test_hadamard_kernel_norm_drift_raises(monkeypatch):
+    real = qstate._wht_inplace
+
+    def drifting(amp, n):
+        real(amp, n)
+        amp *= 1 + 1e-9
+
+    inst = instance_of(4, {1, 2}, {2, 3, 4}, {4})
+    simulate_reduced(inst)
+    monkeypatch.setattr(qstate, "_wht_inplace", drifting)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        simulate_reduced(inst)
+
+
+def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
+    # 1499 free qubits in |+>: their factor 2^-749.5 is a float, 2^1499 is not.
+    inst = instance_of(1503, {1, 2, 3}, {3, 1503})
+    small, scale = cut(inst)
+    assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), rel=1e-15, abs=0.0)
+    assert vqc_probability(encode(inst)) == 0.0   # 2^-1500 times p0 of the cut instance
 
 
 @SETTINGS
