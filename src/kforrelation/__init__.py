@@ -21,6 +21,7 @@ from .qstate import (
 )
 from .forrelation import (
     BooleanFunctionSpec,
+    Component,
     EncodedSample,
     ForrelationInstance,
     MalformedSampleError,
@@ -29,6 +30,7 @@ from .forrelation import (
     ansatz_parameter_count,
     build_circuit,
     build_fixed_ansatz,
+    components,
     decode,
     encode,
     function_of,
@@ -44,7 +46,6 @@ from .forrelation import (
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
-    simulated_qubits,
 )
 from .classify import (
     DegenerateTrainingSetError,

@@ -17,8 +17,8 @@ frequency; shots=None selects exact mode throughout.  A rule reads one or
 two basis outcomes, whose counts among i.i.d. measurements are exactly
 multinomial, so shot mode is one multinomial draw over them.  Every circuit,
 the kernel's included, is a forrelation instance run by
-forrelation.simulate_reduced on the union of its function supports only, so
-no call builds a 2^n vector.
+forrelation.simulate_reduced one connected component of its function
+supports at a time, so no call builds a 2^n vector.
 """
 from __future__ import annotations
 
@@ -156,7 +156,7 @@ def negative_target_index(x_minus: EncodedSample) -> int:
 @lru_cache(maxsize=16)
 def _target_index(x_minus: EncodedSample) -> int:
     red = simulate_reduced(decode(x_minus))
-    z = red.full_index(int(red.state.probabilities().argmax()))
+    z = sum(c.full_index(int(c.state.probabilities().argmax())) for c in red.components)
     if abs(red.probability(z) - 1.0) > 1e-12 or z == 0:
         raise ValueError("x_minus is not a constructive negative sample")
     return z

@@ -13,8 +13,9 @@ and lies in [-1, 1].  This module provides:
 * restricted_functions - the allowed function family in its fixed order,
   and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
-* phi_circuit     - exact statevector simulation of U_F on the support union
-  only (simulate_reduced), equal to phi_bruteforce bit for bit,
+* phi_circuit     - exact statevector simulation of U_F, one connected
+  component of the function supports at a time (simulate_reduced), equal
+  to phi_bruteforce bit for bit,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -25,12 +26,17 @@ and lies in [-1, 1].  This module provides:
 Support reduction.  Each function touches at most three qubits, so U_F acts
 non-trivially only on the union S of the function supports (at most 3k
 qubits).  A qubit outside S ("free") sees nothing but the k+1 Hadamard
-layers: it ends in |0> for odd k and in |+> for even k.  simulate_reduced
-therefore simulates the instance on S alone (relabelled 1..m in increasing
-order) and reads every amplitude or probability of the n-qubit state off
-that m-qubit state; the statevector cap applies to m, not n.  It runs the
-circuit with qstate.run_sign_circuit, whose amplitudes are exact scaled
-values, and rounds once when an amplitude or probability is read.
+layers: it ends in |0> for odd k and in |+> for even k.  Within S, two
+qubits interact only if some function contains both, so U_F is the tensor
+product of one circuit U_C per connected component C of the supports
+(components), and <z|U_F|0> is the product of the <z_C|U_C|0>.
+simulate_reduced therefore runs each component on its own qubits
+(relabelled 1..|C| in increasing order), with the functions outside it as
+identity layers, and reads every amplitude or probability of the n-qubit
+state off those states; the statevector cap applies to each component, not
+to n or |S|.  It runs each circuit with qstate.run_sign_circuit, whose
+amplitudes are exact scaled values, multiplies the components' entries as
+exact integers and rounds once when an amplitude or probability is read.
 phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
 the independent references the reduction is checked against.
 """
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -76,12 +82,17 @@ class BooleanFunctionSpec:
     """
 
     bits: frozenset[int]
+    mask: int = field(init=False, repr=False, compare=False)  # bit j-1 set for input bit j
 
     def __post_init__(self):
         if len(self.bits) > 3:
             raise ValueError(f"a function may depend on at most 3 bits, got {sorted(self.bits)}")
-        if not all(isinstance(b, int) and b >= 1 for b in self.bits):
-            raise ValueError(f"bit indices must be integers >= 1, got {sorted(self.bits)!r}")
+        mask = 0
+        for b in self.bits:
+            if not (isinstance(b, int) and b >= 1):
+                raise ValueError(f"bit indices must be integers >= 1, got {sorted(self.bits)!r}")
+            mask |= 1 << (b - 1)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def is_constant(self) -> bool:
@@ -281,78 +292,125 @@ def build_circuit(inst: ForrelationInstance) -> list[Gate]:
     return gates
 
 
-def simulated_qubits(inst: ForrelationInstance) -> tuple[int, ...]:
-    """The qubits a reduced simulation of inst keeps: the sorted union of
-    its function supports, or qubit 1 alone when every function is constant
-    (a state needs at least one qubit)."""
-    qubits = set()
-    for f in inst.functions:
-        qubits |= f.bits
-    return tuple(sorted(qubits)) or (1,)
+def components(inst: ForrelationInstance) -> tuple[tuple[int, ...], ...]:
+    """The connected components of inst's function supports, each a sorted
+    tuple of qubits, ordered by their lowest qubit.  Two qubits are joined
+    when some function contains both.  An instance whose every function is
+    constant keeps qubit 1 alone (a state needs at least one qubit)."""
+    return tuple(map(_qubits, _parts([f.mask for f in inst.functions])))
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """U_F|0...0> of an n-qubit instance, held as the state on its simulated
-    qubits ``support`` (``state``, relabelled 1..m) times the free qubits'
-    product state: |0> each when ``free_in_plus`` is false (odd k), |+> each
-    when it is true (even k).  ``state`` holds exact scaled amplitudes: an
-    amplitude is its entry divided by sqrt(2^``exponent``), which takes in
-    the free qubits' 2^(-1/2) each, and that one division is the only
-    rounding.  Nothing here builds a 2^n vector."""
+def _parts(masks: Sequence[int]) -> list[int]:
+    """components() as qubit masks: the union of every function mask with
+    each mask it meets, ordered by lowest qubit, or [1] when all are 0."""
+    parts: list[int] = []  # disjoint so far
+    for joined in masks:
+        if joined:
+            rest = []
+            for part in parts:
+                if part & joined:
+                    joined |= part
+                else:
+                    rest.append(part)
+            parts = rest + [joined]
+    parts.sort(key=lambda part: part & -part)
+    return parts or [1]
 
-    n: int
+
+def _qubits(mask: int) -> tuple[int, ...]:
+    """The qubits whose bits are set in mask, in increasing order (bit q-1 is qubit q)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+class Component(NamedTuple):
+    """U_C|0...0> on one connected component: its qubits ``support``,
+    relabelled 1..m in ``state``, whose entries are the amplitudes times
+    sqrt(2^``exponent``)."""
+
     support: tuple[int, ...]
     state: StateVector
-    free_in_plus: bool
     exponent: int
 
     def full_index(self, r: int) -> int:
-        """Full basis index of reduced index r, every free bit 0."""
+        """Full basis index of this component's index r, every other bit 0."""
         z = 0
         for i, q in enumerate(self.support):
             z |= ((r >> i) & 1) << (q - 1)
         return z
 
-    def _entry(self, z: int) -> float:
-        """The scaled amplitude of a full n-qubit basis index z."""
+
+_SQRT2_NUM, _SQRT2_DEN = math.sqrt(2.0).as_integer_ratio()
+
+
+@dataclass(frozen=True)
+class ReducedState:
+    """U_F|0...0> of an n-qubit instance, held as the product of its
+    ``components``' states (U_F is the tensor product of one circuit per
+    component) and the free qubits' product state: |0> each when
+    ``free_in_plus`` is false (odd k), |+> each when it is true (even k),
+    which contributes 2^(-``free_exponent``/2).  Every component holds exact
+    scaled entries; an amplitude multiplies them as exact integers and
+    rounds once, when it divides by the square root of the summed
+    exponents.  Nothing here builds a 2^n vector."""
+
+    n: int
+    components: tuple[Component, ...]
+    free_in_plus: bool
+    free_exponent: int
+
+    def _entry(self, z: int) -> tuple[int, int, int]:
+        """(num, den, e): the amplitude of a full n-qubit basis index z is
+        num / den / sqrt(2^e), exactly."""
         if not 0 <= z < 1 << self.n:
             raise ValueError(f"basis index {z} out of range for {self.n} qubits")
-        r = 0
-        for i, q in enumerate(self.support):
-            r |= ((z >> (q - 1)) & 1) << i
-        if not self.free_in_plus and z != self.full_index(r):
-            return 0.0  # a free qubit in |0> has no weight on a set bit
-        return float(self.state.amplitudes[r])
+        num, den, e, seen = 1, 1, self.free_exponent, 0
+        for comp in self.components:
+            r = 0
+            for i, q in enumerate(comp.support):
+                bit = (z >> (q - 1)) & 1
+                r |= bit << i
+                seen |= bit << (q - 1)
+            p, d = float(comp.state.amplitudes[r]).as_integer_ratio()
+            num, den, e = num * p, den * d, e + comp.exponent
+        if not self.free_in_plus and z != seen:
+            return 0, 1, 0  # a free qubit in |0> has no weight on a set bit
+        return num, den, e
 
     def amplitude(self, z: int) -> float:
-        """<z| U_F |0...0>: the entry divided by sqrt(2) for an odd exponent,
-        then by an exact power of two.  That gives the bits phi_bruteforce
-        gets by dividing by sqrt(2^e) in one step, without overflow at any n."""
-        a = self._entry(z)
-        if self.exponent % 2:
-            a /= math.sqrt(2.0)
-        return math.ldexp(a, -(self.exponent // 2))
+        """<z| U_F |0...0>: the exact product divided by the float sqrt(2) for
+        an odd exponent, rounded once, then by an exact power of two.  That
+        gives the bits phi_bruteforce gets by dividing by sqrt(2^e) in one
+        step, without overflow at any n."""
+        num, den, e = self._entry(z)
+        if e % 2:
+            num, den = num * _SQRT2_DEN, den * _SQRT2_NUM
+        return math.ldexp(num / den, -(e // 2))
 
     def probability(self, z: int) -> float:
         """|<z| U_F |0...0>|^2: one rounding of the exact square, so a
         probability of at most 1 never reads above 1."""
-        a = self._entry(z)
-        return math.ldexp(a * a, -self.exponent)
+        num, den, e = self._entry(z)
+        return math.ldexp((num * num) / (den * den), -e)
 
 
 def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
-    """U_F |0...0> simulated on simulated_qubits(inst) only, by
-    qstate.run_sign_circuit.  The statevector cap applies to that qubit
-    count, not to n."""
-    support = simulated_qubits(inst)
-    bit = {q: 1 << i for i, q in enumerate(support)}
-    masks = [sum(map(bit.__getitem__, f.bits)) for f in inst.functions]
-    state, exponent = run_sign_circuit(len(support), masks)
+    """U_F |0...0> simulated on each of components(inst) on its own, by
+    qstate.run_sign_circuit.  The statevector cap applies to each
+    component's qubit count, not to n or to the support union."""
+    comps = []
+    for part in _parts([f.mask for f in inst.functions]):
+        support = _qubits(part)
+        bit = {q: 1 << i for i, q in enumerate(support)}
+        local = [sum(map(bit.__getitem__, f.bits)) if f.mask & part else 0 for f in inst.functions]
+        comps.append(Component(support, *run_sign_circuit(len(support), local)))
     free_in_plus = inst.k % 2 == 0
-    if free_in_plus:
-        exponent += inst.n - len(support)
-    return ReducedState(inst.n, support, state, free_in_plus, exponent)
+    free = inst.n - sum(len(c.support) for c in comps) if free_in_plus else 0
+    return ReducedState(inst.n, tuple(comps), free_in_plus, free)
 
 
 def simulate_instance(inst: ForrelationInstance) -> StateVector:
@@ -362,8 +420,8 @@ def simulate_instance(inst: ForrelationInstance) -> StateVector:
 
 
 def phi_circuit(inst: ForrelationInstance) -> float:
-    """Phi as the |0...0> amplitude of the instance circuit, simulated on the
-    support union (simulate_reduced)."""
+    """Phi as the |0...0> amplitude of the instance circuit, simulated one
+    connected component of the supports at a time (simulate_reduced)."""
     return _checked_phi(simulate_reduced(inst).amplitude(0))
 
 
@@ -377,6 +435,15 @@ def ansatz_parameter_count(n: int, k: int) -> int:
     return k * (n + n * (n - 1) // 2 + n * (n - 1) * (n - 2) // 6)
 
 
+@lru_cache(maxsize=None)
+def _slot_gates(n: int) -> tuple[tuple[frozenset[int], Gate, Gate], ...]:
+    """Per controlled-phase slot of the n-bit ansatz, in restricted_functions
+    order: (bits, the gate at angle 0, the gate at angle pi).  Gates are
+    immutable, so each is built and checked once per n."""
+    return tuple((f.bits, controlled_phase(f.bits, 0.0), controlled_phase(f.bits, math.pi))
+                 for f in restricted_functions(n)[1:])
+
+
 def build_fixed_ansatz(sample: EncodedSample) -> list[Gate]:
     """Fixed-skeleton circuit equivalent to build_circuit(decode(sample)).
 
@@ -385,12 +452,11 @@ def build_fixed_ansatz(sample: EncodedSample) -> list[Gate]:
     in J} (1 - x_l)).  All slots are always emitted; the skeleton never
     depends on the data.
     """
-    slots = restricted_functions(sample.n)[1:]
+    slots = _slot_gates(sample.n)
     gates = [hadamard_all()]
     for i in range(sample.k):
         ones = frozenset(j + 1 for j, b in enumerate(sample.block(i)) if b)
-        for slot in slots:
-            gates.append(controlled_phase(slot.bits, math.pi if slot.bits == ones else 0.0))
+        gates.extend(pi if bits == ones else zero for bits, zero, pi in slots)
         gates.append(hadamard_all())
     return gates
 

@@ -152,7 +152,7 @@ def init_zero(n: int) -> StateVector:
 
 def _check_norm(amp: np.ndarray) -> None:
     nrm = float(np.vdot(amp, amp))
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN drifts too
         raise RuntimeError(f"statevector norm drifted: sum |a|^2 = {nrm!r}")
 
 
@@ -270,30 +270,41 @@ def run_sign_circuit(m: int, masks: Sequence[int]) -> tuple[StateVector, int]:
     basis state x with x & masks[i] == masks[i] (mask 0 is the identity).
 
     Returns (state, e): the circuit's amplitudes are the state's divided by
-    sqrt(2^e), with e = (k+1)*m mod 2, a factor left for the caller to apply
-    with one rounding.  The Hadamard layers run unnormalised, and layer j is
+    sqrt(2^e), with e = J*m mod 2 for the J Hadamard layers applied, a factor
+    left for the caller to apply with one rounding.  Identity layers are
+    collapsed first: around a zero mask the two Hadamard layers cancel, flips
+    with no Hadamard layer left between them are applied back to back, and a
+    flip before the first applied Hadamard layer acts on |0...0> and is
+    skipped.  The Hadamard layers run unnormalised, and applied layer j is
     rescaled by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
     sqrt(2) at any k and each stays an exact dyadic rational while its
     numerator fits in 53 bits.  Each sign layer is an exact in-place flip.
-    Each gate's norm is recorded, and all are checked against NORM_TOL before
-    the state is returned.
+    Each applied gate's norm is recorded, and all are checked against
+    NORM_TOL before the state is returned.
     """
     state = init_zero(m)
     amp = state.amplitudes
-    k = len(masks)
-    norms = []  # sum |a|^2 after each gate, over the value it should have (1 or 2)
-    for j in range(k + 1):
-        if j and masks[j - 1]:
-            _flip_inplace(amp, m, masks[j - 1])
-            norms.append(np.vdot(amp, amp) / norm2)
-        _wht_inplace(amp, m)
-        amp *= 2.0 ** ((j * m) // 2 - ((j + 1) * m) // 2)
-        norm2 = 2.0 ** ((j + 1) * m % 2)
-        norms.append(np.vdot(amp, amp) / norm2)
-    drift = np.abs(np.array(norms) - 1.0)
-    if drift.max() > NORM_TOL:
-        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {norms[int(drift.argmax())]!r} times its exact value")
-    return state, (k + 1) * m % 2
+    layers = 0          # Hadamard layers applied
+    pending = True      # an odd number of Hadamard layers is due before the next flip
+    norms = []          # sum |a|^2 after each applied gate, over the value it should have (1 or 2)
+    for mask in (*masks, None):  # None: the last Hadamard layer, with no flip after it
+        if mask == 0:
+            pending = not pending
+            continue
+        if pending:
+            _wht_inplace(amp, m)
+            amp *= 2.0 ** ((layers * m) // 2 - ((layers + 1) * m) // 2)
+            layers += 1
+            norm2 = 2.0 ** (layers * m % 2)
+            norms.append(float(amp.dot(amp)) / norm2)
+        if mask is not None and layers:
+            _flip_inplace(amp, m, mask)
+            norms.append(float(amp.dot(amp)) / norm2)
+        pending = True
+    drifted = [v for v in norms if not abs(v - 1.0) <= NORM_TOL]  # NaN drifts too
+    if drifted:
+        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {drifted[0]!r} times its exact value")
+    return state, layers * m % 2
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kforrelation.forrelation import (
     CONSTANT,
@@ -30,7 +32,7 @@ from kforrelation.forrelation import (
     simulate_instance,
     simulate_reduced,
 )
-from kforrelation.qstate import CapacityError, GateKind, hadamard_all, swap, unitary_of
+from kforrelation.qstate import CapacityError, GateKind, controlled_phase, hadamard_all, swap, unitary_of
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def test_instance_states_are_float64():
     rng = np.random.default_rng(23)
     for k in (2, 3, 5):
         inst = random_instance(6, k, rng)
-        assert simulate_reduced(inst).state.amplitudes.dtype == np.float64
+        assert all(c.state.amplitudes.dtype == np.float64 for c in simulate_reduced(inst).components)
         assert simulate_instance(inst).amplitudes.dtype == np.float64
         assert simulate_fixed_ansatz(encode(inst)).amplitudes.dtype == np.float64
 
@@ -221,6 +223,30 @@ def test_ansatz_block_101_selects_single_slot():
     gates = build_fixed_ansatz(sample)
     hot = [(set(g.targets), g.angle) for g in gates if g.kind is GateKind.CONTROLLED_PHASE and g.angle != 0.0]
     assert hot == [({1, 3}, math.pi)]
+
+
+@st.composite
+def encoded_samples(draw):
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    bits = []
+    for _ in range(k):
+        ones = draw(st.sets(st.integers(1, n), max_size=3))
+        bits.extend(1 if j in ones else 0 for j in range(1, n + 1))
+    return EncodedSample(n, k, tuple(bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoded_samples())
+def test_ansatz_from_prebuilt_slot_gates_equals_direct_build(sample):
+    # Every slot's gate built directly by controlled_phase, as the paper's
+    # angle formula gives it.
+    expected = [hadamard_all()]
+    for i in range(sample.k):
+        ones = frozenset(j + 1 for j, b in enumerate(sample.block(i)) if b)
+        for slot in restricted_functions(sample.n)[1:]:
+            expected.append(controlled_phase(slot.bits, math.pi if slot.bits == ones else 0.0))
+        expected.append(hadamard_all())
+    assert build_fixed_ansatz(sample) == expected
 
 
 def test_ansatz_all_zero_sample_odd_k():

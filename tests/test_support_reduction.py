@@ -1,12 +1,13 @@
 """Support-reduced simulation against the dense paths.
 
-phi_circuit, vqc_probability, kernel and qsvm_classify simulate only the
-union of the function supports.  These tests compare them with the dense
-fixed ansatz (all n qubits), with phi_bruteforce, and with a reduction done
-by hand, over random instances that include even k, empty supports and full
-supports.
+phi_circuit, vqc_probability, kernel and qsvm_classify simulate each
+connected component of the function supports on its own.  These tests
+compare them with the dense fixed ansatz and dense run (all n qubits), with
+phi_bruteforce, and with a reduction done by hand, over random instances
+that include even k, empty supports, full supports and disjoint pieces.
 """
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,11 @@ from kforrelation.classify import DualSolution, kernel, negative_target_index, q
 from kforrelation.datagen import make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
     CONSTANT,
+    Component,
     ForrelationInstance,
+    ReducedState,
     build_circuit,
+    components,
     decode,
     encode,
     function_of,
@@ -32,11 +36,10 @@ from kforrelation.forrelation import (
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
-    simulated_qubits,
 )
-from kforrelation.qstate import CapacityError, init_zero, phase_flip
+from kforrelation.qstate import CapacityError, StateVector, init_zero, phase_flip
 
-BRUTE_FORCE_BITS = 16   # k*n at which the exhaustive sum still takes milliseconds
+BRUTE_FORCE_BITS = 24   # k*n up to which Phi is also summed exhaustively (about 1 s at the cap)
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -46,6 +49,20 @@ def instances(draw, n=st.integers(1, 8), k=st.integers(1, 6)):
     funcs = restricted_functions(n)
     picks = draw(st.lists(st.integers(0, len(funcs) - 1), min_size=k, max_size=k))
     return ForrelationInstance(n, tuple(funcs[i] for i in picks))
+
+
+@st.composite
+def disjoint_unions(draw, parts=st.integers(2, 3), n=st.integers(1, 3), k=st.integers(1, 3)):
+    """Small random instances on disjoint qubit ranges, their functions
+    interleaved in a random order: each piece's functions are constants to
+    every other piece, so identity layers fall between its own."""
+    pieces = [draw(instances(n, k)) for _ in range(draw(parts))]
+    queues, offset = [], 0
+    for piece in pieces:
+        queues.append([function_of(*(b + offset for b in f.bits)) for f in piece.functions])
+        offset += piece.n
+    order = draw(st.permutations([i for i, q in enumerate(queues) for _ in q]))
+    return ForrelationInstance(offset, tuple(queues[i].pop(0) for i in order))
 
 
 def cut(inst):
@@ -69,13 +86,19 @@ def check_against_dense(inst):
     red = simulate_reduced(inst)
     for z in range(1 << inst.n):
         assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
+        assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
 
 
 @SETTINGS
-@given(instances())
+@given(st.one_of(disjoint_unions(), instances(n=st.integers(1, 10), k=st.integers(1, 7))))
 @example(instance_of(1, {1}))               # n = 1, k = 1
 @example(instance_of(2, {1, 2}, ()))        # n = 2, even k
 @example(instance_of(8, {2, 5}, {2}))       # even k: free qubits 1, 3, 4, 6, 7, 8 end in |+>
+@example(instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}))             # k * n = 24, two components
+@example(instance_of(5, {1, 2}, {3, 4, 5}, {2}, {5}))             # even k, two components
+@example(instance_of(6, {1, 2, 3}, (), {4, 5}, {1}, {6}))         # odd k, a constant, three components
+@example(instance_of(8, {1}, {5, 6}, (), {2, 3}, {7}, {1, 2}))   # even k, free qubits 4 and 8 in |+>
+@example(instance_of(5, {1, 2}, {1, 2}, {3, 4, 5}, {3, 4, 5}))   # flips back to back cancel
 def test_reduced_matches_dense_and_bruteforce(inst):
     check_against_dense(inst)
 
@@ -84,7 +107,7 @@ def test_reduced_matches_dense_and_bruteforce(inst):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_all_constant_instance_keeps_one_qubit(n, k):
     inst = ForrelationInstance(n, (CONSTANT,) * k)
-    assert simulated_qubits(inst) == (1,)
+    assert components(inst) == ((1,),)
     assert phi_circuit(inst) == pytest.approx(1.0 if k % 2 else 2.0 ** (-0.5 * n), abs=1e-15)
     check_against_dense(inst)
 
@@ -94,7 +117,7 @@ def test_full_support_skips_relabelling(k):
     funcs = [function_of(1, 2, 3), function_of(4, 5), function_of(6), CONSTANT][:k]
     inst = ForrelationInstance(6 if k >= 3 else 5 if k == 2 else 3, tuple(funcs))
     red = simulate_reduced(inst)
-    assert red.support == tuple(range(1, inst.n + 1))
+    assert tuple(q for c in red.components for q in c.support) == tuple(range(1, inst.n + 1))
     check_against_dense(inst)
 
 
@@ -195,7 +218,7 @@ def test_kernel_on_disjoint_supports(k):
     assert gates[: 2 * k + 1] == build_circuit(decode(xj))
     assert gates[2 * k + 1] == phase_flip()
     assert gates[2 * k + 2 :] == build_circuit(decode(xi))[::-1]
-    assert simulated_qubits(inst) == (1, 2, 5, 6, 7)
+    assert components(inst) == ((1, 2), (5, 6, 7))
     assert kernel(xi, xj) == pytest.approx(dense_kernel(xi, xj), abs=1e-12)
     assert kernel(xi, xj, shots=300, seed=4) == pytest.approx(kernel(xi, xj), abs=0.2)
 
@@ -219,7 +242,7 @@ def test_qsvm_pz_is_zero_when_target_qubit_is_free():
     pos = make_positive_sample(5, 3, 2, 3, 4).sample
     neg = make_negative_sample(5, 3, 1, (1, 2, 3)).sample
     z = negative_target_index(neg)
-    assert z == 1 and 1 not in simulated_qubits(decode(pos))
+    assert z == 1 and all(1 not in support for support in components(decode(pos)))
     assert simulate_reduced(decode(pos)).probability(z) == 0.0
     assert simulate_fixed_ansatz(pos).probabilities()[z] == 0.0
     # decision = alpha * (p0 - pz) + bias: +0.5 when pz = 0, -0.5 were pz read as p0
@@ -270,24 +293,39 @@ def test_long_circuits_stay_in_range(inst):
     assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
 
 
-@pytest.mark.parametrize("inst", [
-    instance_of(14, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14}),
-    instance_of(15, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14, 15}, {2, 14}),
-], ids=["m14-k5", "m15-k6"])
-def test_runner_past_two_hadamard_blocks_matches_dense(inst):
-    # m above 2 * WHT_BLOCK_QUBITS: three Sylvester blocks, the upper ones
-    # applied along a strided axis in slabs.
+@pytest.mark.parametrize("inst, largest", [
+    (instance_of(14, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14}), 3),
+    (instance_of(15, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14, 15}, {2, 14}), 6),
+    (instance_of(14, *({2 * i + 1, 2 * i + 2, 2 * i + 3} for i in range(6)), {13, 14}), 14),
+    (instance_of(15, *({2 * i + 1, 2 * i + 2, 2 * i + 3} for i in range(7)), ()), 15),
+], ids=["m14-k5", "m15-k6", "chain-m14", "chain-m15"])
+def test_runner_past_two_hadamard_blocks_matches_dense(inst, largest):
+    # A component above 2 * WHT_BLOCK_QUBITS runs three Sylvester blocks, the
+    # upper ones applied along a strided axis in slabs.  The first two
+    # instances split into components of at most 6 qubits; the chains do not.
     assert inst.n > 2 * qstate.WHT_BLOCK_QUBITS
+    assert max(map(len, components(inst))) == largest
     dense = simulate_instance(inst).amplitudes
     red = simulate_reduced(inst)
     assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
 
 
 def test_support_above_the_state_cap_raises():
-    inst = instance_of(27, *({3 * i + 1, 3 * i + 2, 3 * i + 3} for i in range(9)))
-    assert len(simulated_qubits(inst)) == 27
+    # 13 overlapping triples {2i+1, 2i+2, 2i+3} chain qubits 1..27 into one component.
+    inst = instance_of(27, *({2 * i + 1, 2 * i + 2, 2 * i + 3} for i in range(13)))
+    assert components(inst) == (tuple(range(1, 28)),)
     with pytest.raises(CapacityError):
         simulate_reduced(inst)
+
+
+def test_disjoint_support_above_the_state_cap_runs_per_component():
+    # Nine disjoint triples: 27 supported qubits, nine 3-qubit components.
+    # Triple i meets H CCZ H, worth <+|CCZ|+> = 3/4, when i is even, and
+    # acts on |000> (worth 1) when i is odd, where the Hadamard layers
+    # around it cancel in pairs.
+    inst = instance_of(27, *({3 * i + 1, 3 * i + 2, 3 * i + 3} for i in range(9)))
+    assert list(map(len, components(inst))) == [3] * 9
+    assert phi_circuit(inst) == 0.75 ** 5 == 0.2373046875
 
 
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
@@ -297,11 +335,27 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
         real(amp, n)
         amp *= 1 + 1e-9
 
-    inst = instance_of(4, {1, 2}, {2, 3, 4}, {4})
-    simulate_reduced(inst)
-    monkeypatch.setattr(qstate, "_wht_inplace", drifting)
-    with pytest.raises(RuntimeError, match="norm drifted"):
+    one = instance_of(4, {1, 2}, {2, 3, 4}, {4})
+    split = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
+    assert len(components(one)) == 1 and len(components(split)) == 2
+    for inst in (one, split):
         simulate_reduced(inst)
+    monkeypatch.setattr(qstate, "_wht_inplace", drifting)
+    for inst in (one, split):
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            simulate_reduced(inst)
+
+
+def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
+    # A NaN norm compares false with any tolerance, so it must count as drift.
+    def poisoned(amp, n):
+        amp[:] = np.nan
+
+    monkeypatch.setattr(qstate, "_wht_inplace", poisoned)
+    inst = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
+    for run in (simulate_reduced, simulate_instance):
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run(inst)
 
 
 def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
@@ -318,3 +372,49 @@ def test_large_n_phi_equals_scaled_cut_bruteforce(inst):
     small, scale = cut(inst)
     if small.n * small.k <= BRUTE_FORCE_BITS:
         assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The component split: instances built from pieces on disjoint qubit ranges.
+
+
+@SETTINGS
+@given(st.lists(st.floats(-1.5, 1.5).filter(lambda a: abs(a) >= 0.5), min_size=2, max_size=3), st.integers(0, 3))
+def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free_exponent):
+    # Entries with full 53-bit mantissas: their product needs more bits than
+    # a float holds, so a float product would round before the division.
+    # Runner entries are dyadic with magnitude <= sqrt(2); these stay far
+    # from the subnormal range, where ldexp would round a second time.
+    comps = tuple(Component((q,), StateVector(1, np.array([a, 0.0])), q % 2) for q, a in enumerate(entries, 1))
+    red = ReducedState(len(entries) + free_exponent, comps, True, free_exponent)
+    exact = math.prod(map(Fraction, entries))
+    e = free_exponent + sum(c.exponent for c in comps)
+    if e % 2:
+        assert red.amplitude(0) == float(exact / Fraction(math.sqrt(2.0)) / 2 ** (e // 2))
+    else:
+        assert red.amplitude(0) == float(exact / 2 ** (e // 2))
+    assert red.probability(0) == float(exact * exact / 2 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(disjoint_unions(), st.data())
+def test_kernel_on_split_instances_matches_dense(inst, data):
+    # The second sample permutes the first's functions: same pieces, so the
+    # kernel circuit splits along them too.
+    funcs = data.draw(st.permutations(inst.functions))
+    xi, xj = encode(inst), encode(ForrelationInstance(inst.n, tuple(funcs)))
+    assert kernel(xi, xj) == pytest.approx(dense_kernel(xi, xj), abs=1e-12)
+
+
+@SETTINGS
+@given(st.integers(4, 9), st.sampled_from([3, 5, 7]), st.data())
+def test_negative_target_outside_the_triple_matches_dense(n, k, data):
+    # f1 = x_j and the triple share no qubit: the circuit splits in two.
+    triple = data.draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True))
+    j = data.draw(st.integers(1, n).filter(lambda q: q not in triple))
+    neg = make_negative_sample(n, k, j, triple).sample
+    assert len(components(decode(neg))) == 2
+    p = simulate_instance(decode(neg)).probabilities()
+    z = negative_target_index(neg)
+    assert z == 1 << (j - 1) == int(p.argmax())
+    assert simulate_reduced(decode(neg)).probability(z) == 1.0
