@@ -37,6 +37,8 @@ state off those states; the statevector cap applies to each component, not
 to n or |S|.  It runs each circuit with qstate.run_sign_circuit, whose
 amplitudes are exact scaled values, multiplies the components' entries as
 exact integers and rounds once when an amplitude or probability is read.
+A component's last Hadamard layer stays open: its index 0 reads as an
+exact sum, and only a read of another index closes it.
 phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
 the independent references the reduction is checked against.
 """
@@ -55,6 +57,7 @@ from .qstate import (
     Gate,
     StateVector,
     apply_circuit,
+    close_layer,
     controlled_phase,
     hadamard_all,
     init_zero,
@@ -327,14 +330,36 @@ def _qubits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Component(NamedTuple):
+@dataclass
+class Component:
     """U_C|0...0> on one connected component: its qubits ``support``,
     relabelled 1..m in ``state``, whose entries are the amplitudes times
-    sqrt(2^``exponent``)."""
+    sqrt(2^``exponent``) once the last Hadamard layer is closed.  While
+    ``scale`` is nonzero that layer is still open (qstate.run_sign_circuit):
+    index 0 reads as scale times the sum of the state, exactly, and the
+    first read of any other index closes the layer in place, once."""
 
     support: tuple[int, ...]
     state: StateVector
     exponent: int
+    scale: float = 0.0
+    mask: int = field(init=False)   # bit q-1 set for each qubit q of support
+
+    def __post_init__(self):
+        self.mask = sum(1 << (q - 1) for q in self.support)
+
+    def close(self) -> None:
+        """Apply the open last Hadamard layer, if there is one."""
+        if self.scale:
+            close_layer(self.state, self.scale, self.exponent)
+            self.scale = 0.0
+
+    def entry(self, r: int) -> float:
+        """The scaled amplitude of local index r."""
+        if self.scale and not r:
+            return float(self.state.amplitudes.sum()) * self.scale
+        self.close()
+        return float(self.state.amplitudes[r])
 
     def full_index(self, r: int) -> int:
         """Full basis index of this component's index r, every other bit 0."""
@@ -356,7 +381,8 @@ class ReducedState:
     which contributes 2^(-``free_exponent``/2).  Every component holds exact
     scaled entries; an amplitude multiplies them as exact integers and
     rounds once, when it divides by the square root of the summed
-    exponents.  Nothing here builds a 2^n vector."""
+    exponents.  A read closes the open last layer of the components whose
+    qubits z sets, and no other.  Nothing here builds a 2^n vector."""
 
     n: int
     components: tuple[Component, ...]
@@ -371,11 +397,11 @@ class ReducedState:
         num, den, e, seen = 1, 1, self.free_exponent, 0
         for comp in self.components:
             r = 0
-            for i, q in enumerate(comp.support):
-                bit = (z >> (q - 1)) & 1
-                r |= bit << i
-                seen |= bit << (q - 1)
-            p, d = float(comp.state.amplitudes[r]).as_integer_ratio()
+            if z & comp.mask:
+                for i, q in enumerate(comp.support):
+                    r |= ((z >> (q - 1)) & 1) << i
+                seen |= z & comp.mask
+            p, d = comp.entry(r).as_integer_ratio()
             num, den, e = num * p, den * d, e + comp.exponent
         if not self.free_in_plus and z != seen:
             return 0, 1, 0  # a free qubit in |0> has no weight on a set bit
@@ -400,7 +426,8 @@ class ReducedState:
 
 def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     """U_F |0...0> simulated on each of components(inst) on its own, by
-    qstate.run_sign_circuit.  The statevector cap applies to each
+    qstate.run_sign_circuit, with each component's last Hadamard layer left
+    open until a read needs it.  The statevector cap applies to each
     component's qubit count, not to n or to the support union."""
     comps = []
     for part in _parts([f.mask for f in inst.functions]):

@@ -24,9 +24,11 @@ scale.
 
 Two ways to run a circuit share that kernel.  run_sign_circuit runs the
 forrelation circuit of a list of sign masks with exact arithmetic and one
-rounding left to the caller; every reduced simulation uses it.  The Gate
-engine (apply_gate, apply_circuit, unitary_of) applies any gate of the
-family and rounds at every layer; it is the dense reference.
+rounding left to the caller; every reduced simulation uses it.  It fills
+its first Hadamard layer in as the uniform vector and leaves its last one
+open, for close_layer to apply when an entry other than index 0 is read.
+The Gate engine (apply_gate, apply_circuit, unitary_of) applies any gate of
+the family and rounds at every layer; it is the dense reference.
 """
 from __future__ import annotations
 
@@ -119,8 +121,9 @@ def swap(a: int, b: int) -> Gate:
 @dataclass
 class StateVector:
     """2^n float64 amplitudes; any other array raises ValueError.  The Gate
-    engine keeps them at unit norm; run_sign_circuit returns them scaled by
-    2^(e/2), e in {0, 1}.
+    engine keeps them at unit norm.  run_sign_circuit returns them scaled by
+    2^(e/2), e in {0, 1}, possibly with the last Hadamard layer still open
+    (see close_layer).
 
     A value type: move it freely between threads, mutate from one writer.
     Gate application updates ``amplitudes`` in place.
@@ -150,10 +153,11 @@ def init_zero(n: int) -> StateVector:
     return StateVector(n, amp)
 
 
-def _check_norm(amp: np.ndarray) -> None:
-    nrm = float(np.vdot(amp, amp))
-    if not abs(nrm - 1.0) <= NORM_TOL:  # NaN drifts too
-        raise RuntimeError(f"statevector norm drifted: sum |a|^2 = {nrm!r}")
+def _check_norms(ratios: Sequence[float]) -> None:
+    """Each ratio is a state's sum |a|^2 over the value it should have."""
+    drifted = [v for v in ratios if not abs(v - 1.0) <= NORM_TOL]  # NaN drifts too
+    if drifted:
+        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {drifted[0]!r} times its exact value")
 
 
 def _sylvester(qubits: int) -> np.ndarray:
@@ -255,7 +259,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """
     _validate_gate(gate, state.n_qubits)
     if _apply_inplace(state.amplitudes, state.n_qubits, gate):
-        _check_norm(state.amplitudes)
+        _check_norms([float(np.vdot(state.amplitudes, state.amplitudes))])
     return state
 
 
@@ -265,46 +269,74 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     return state
 
 
-def run_sign_circuit(m: int, masks: Sequence[int]) -> tuple[StateVector, int]:
+def run_sign_circuit(m: int, masks: Sequence[int]) -> tuple[StateVector, int, float]:
     """H^m D_k H^m ... D_1 H^m |0...0> on m qubits, where D_i is -1 on every
     basis state x with x & masks[i] == masks[i] (mask 0 is the identity).
 
-    Returns (state, e): the circuit's amplitudes are the state's divided by
-    sqrt(2^e), with e = J*m mod 2 for the J Hadamard layers applied, a factor
-    left for the caller to apply with one rounding.  Identity layers are
-    collapsed first: around a zero mask the two Hadamard layers cancel, flips
-    with no Hadamard layer left between them are applied back to back, and a
-    flip before the first applied Hadamard layer acts on |0...0> and is
-    skipped.  The Hadamard layers run unnormalised, and applied layer j is
-    rescaled by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
-    sqrt(2) at any k and each stays an exact dyadic rational while its
-    numerator fits in 53 bits.  Each sign layer is an exact in-place flip.
-    Each applied gate's norm is recorded, and all are checked against
-    NORM_TOL before the state is returned.
+    Returns (state, e, scale): the circuit's amplitudes are the closed
+    state's entries divided by sqrt(2^e), with e = J*m mod 2 for the J
+    Hadamard layers applied, a factor left for the caller to apply with one
+    rounding.  The last Hadamard layer is left open: state holds the
+    amplitudes before it, scale is its rescale, and close_layer applies it.
+    The closed index 0 is scale times the sum of state, which adds the terms
+    row 0 of the transform adds, so it is exact whenever the transform is.
+    scale is 0.0 when the circuit ends on a flip, with no layer open.
+
+    Identity layers are collapsed first: around a zero mask the two
+    Hadamard layers cancel, flips with no Hadamard layer left between them
+    are applied back to back, and a flip before the first applied Hadamard
+    layer acts on |0...0> and is skipped.  The Hadamard layers run
+    unnormalised, and applied layer j is rescaled by
+    2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds sqrt(2) at
+    any k and each stays an exact dyadic rational while its numerator fits
+    in 53 bits.  The first applied layer acts on |0...0>, so it is filled
+    in as the uniform vector.  Each sign layer is an exact in-place flip.
+    The norm after each later Hadamard layer and each flip is checked
+    against NORM_TOL before the state is returned.
     """
     state = init_zero(m)
     amp = state.amplitudes
     layers = 0          # Hadamard layers applied
     pending = True      # an odd number of Hadamard layers is due before the next flip
     norms = []          # sum |a|^2 after each applied gate, over the value it should have (1 or 2)
-    for mask in (*masks, None):  # None: the last Hadamard layer, with no flip after it
+    for mask in masks:
         if mask == 0:
             pending = not pending
             continue
-        if pending:
+        if pending and not layers:  # H^m|0...0>: the uniform vector, exactly
+            amp.fill(_layer_scale(0, m))
+            layers = 1
+            norm2 = 2.0 ** (m % 2)
+        elif pending:
             _wht_inplace(amp, m)
-            amp *= 2.0 ** ((layers * m) // 2 - ((layers + 1) * m) // 2)
+            amp *= _layer_scale(layers, m)
             layers += 1
             norm2 = 2.0 ** (layers * m % 2)
             norms.append(float(amp.dot(amp)) / norm2)
-        if mask is not None and layers:
+        if layers:
             _flip_inplace(amp, m, mask)
             norms.append(float(amp.dot(amp)) / norm2)
         pending = True
-    drifted = [v for v in norms if not abs(v - 1.0) <= NORM_TOL]  # NaN drifts too
-    if drifted:
-        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {drifted[0]!r} times its exact value")
-    return state, layers * m % 2
+    _check_norms(norms)
+    if not pending:
+        return state, layers * m % 2, 0.0
+    return state, (layers + 1) * m % 2, _layer_scale(layers, m)
+
+
+def _layer_scale(layers: int, m: int) -> float:
+    """The exact power of two that rescales the unnormalised Hadamard layer
+    applied after ``layers`` others on m qubits."""
+    return 2.0 ** ((layers * m) // 2 - ((layers + 1) * m) // 2)
+
+
+def close_layer(state: StateVector, scale: float, e: int) -> None:
+    """Apply the Hadamard layer run_sign_circuit left open, in place: the
+    +-1 transform, then the exact rescale ``scale``.  The result's norm is
+    checked against 2^e, like every layer applied by run_sign_circuit."""
+    amp = state.amplitudes
+    _wht_inplace(amp, state.n_qubits)
+    amp *= scale
+    _check_norms([float(amp.dot(amp)) / 2.0 ** e])
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray:

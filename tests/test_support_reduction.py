@@ -84,9 +84,12 @@ def check_against_dense(inst):
         assert phi == phi_bruteforce(inst)   # both round one exact value once
     assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
     red = simulate_reduced(inst)
+    phi_open = red.amplitude(0)   # no layer closed yet: an open component's index 0 is a sum
     for z in range(1 << inst.n):
         assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
         assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
+    assert all(not c.scale for c in red.components)   # the z-loop closed every layer
+    assert red.amplitude(0) == phi_open == phi
 
 
 @SETTINGS
@@ -99,6 +102,8 @@ def check_against_dense(inst):
 @example(instance_of(6, {1, 2, 3}, (), {4, 5}, {1}, {6}))         # odd k, a constant, three components
 @example(instance_of(8, {1}, {5, 6}, (), {2, 3}, {7}, {1, 2}))   # even k, free qubits 4 and 8 in |+>
 @example(instance_of(5, {1, 2}, {1, 2}, {3, 4, 5}, {3, 4, 5}))   # flips back to back cancel
+@example(instance_of(3, (), {1, 2, 3}))     # every flip acts on |0...0>: only the open last layer remains
+@example(instance_of(3, {1, 2}, ()))        # ends on a constant: no layer is left open
 def test_reduced_matches_dense_and_bruteforce(inst):
     check_against_dense(inst)
 
@@ -328,6 +333,33 @@ def test_disjoint_support_above_the_state_cap_runs_per_component():
     assert phi_circuit(inst) == 0.75 ** 5 == 0.2373046875
 
 
+# Every component of ONE and SPLIT applies a Hadamard layer between its first
+# and its last: two of its flips sit an odd number of layers apart.  OUTER's
+# component {1, 2} applies only the filled first layer and the open last
+# one, and its {4, 5, 6} acts on |000> alone and applies none.
+ONE = instance_of(4, {1, 2}, {2, 3, 4}, {4})
+SPLIT = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6})
+OUTER = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
+
+
+def check_closing_raises(outer_red):
+    # Index 0 never closes the open layer; a read that sets qubit 4 touches
+    # only the closed {4, 5, 6}; one that sets qubit 1 closes {1, 2}.
+    outer_red.amplitude(0)
+    outer_red.amplitude(1 << 3)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        outer_red.amplitude(1)
+
+
+def test_a_read_closes_only_the_components_whose_qubits_it_sets():
+    red = simulate_reduced(SPLIT)
+    p0 = red.probability(0)
+    assert [c.scale for c in red.components] == [0.5, 0.5]   # both last layers still open
+    red.probability(1 << 4)   # qubit 5, in {4, 5, 6}
+    assert [c.scale for c in red.components] == [0.5, 0.0]
+    assert red.probability(0) == p0
+
+
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
     real = qstate._wht_inplace
 
@@ -335,15 +367,14 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
         real(amp, n)
         amp *= 1 + 1e-9
 
-    one = instance_of(4, {1, 2}, {2, 3, 4}, {4})
-    split = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
-    assert len(components(one)) == 1 and len(components(split)) == 2
-    for inst in (one, split):
+    assert list(map(len, components(ONE))) == [4] and list(map(len, components(SPLIT))) == [2, 3]
+    for inst in (ONE, SPLIT):
         simulate_reduced(inst)
     monkeypatch.setattr(qstate, "_wht_inplace", drifting)
-    for inst in (one, split):
+    for inst in (ONE, SPLIT):
         with pytest.raises(RuntimeError, match="norm drifted"):
             simulate_reduced(inst)
+    check_closing_raises(simulate_reduced(OUTER))
 
 
 def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
@@ -352,10 +383,11 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
         amp[:] = np.nan
 
     monkeypatch.setattr(qstate, "_wht_inplace", poisoned)
-    inst = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
-    for run in (simulate_reduced, simulate_instance):
-        with pytest.raises(RuntimeError, match="norm drifted"):
-            run(inst)
+    for inst in (ONE, SPLIT):
+        for run in (simulate_reduced, simulate_instance):
+            with pytest.raises(RuntimeError, match="norm drifted"):
+                run(inst)
+    check_closing_raises(simulate_reduced(OUTER))
 
 
 def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
@@ -384,8 +416,12 @@ def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free
     # Entries with full 53-bit mantissas: their product needs more bits than
     # a float holds, so a float product would round before the division.
     # Runner entries are dyadic with magnitude <= sqrt(2); these stay far
-    # from the subnormal range, where ldexp would round a second time.
-    comps = tuple(Component((q,), StateVector(1, np.array([a, 0.0])), q % 2) for q, a in enumerate(entries, 1))
+    # from the subnormal range, where ldexp would round a second time.  The
+    # last component's layer is open: its index 0 reads as (a + a) / 2 = a.
+    *closed, last = entries
+    comps = tuple(Component((q,), StateVector(1, np.array([a, 0.0])), q % 2) for q, a in enumerate(closed, 1))
+    q = len(entries)
+    comps += (Component((q,), StateVector(1, np.array([last, last])), q % 2, 0.5),)
     red = ReducedState(len(entries) + free_exponent, comps, True, free_exponent)
     exact = math.prod(map(Fraction, entries))
     e = free_exponent + sum(c.exponent for c in comps)
@@ -394,6 +430,7 @@ def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free
     else:
         assert red.amplitude(0) == float(exact / 2 ** (e // 2))
     assert red.probability(0) == float(exact * exact / 2 ** e)
+    assert comps[-1].scale == 0.5   # still open
 
 
 @settings(max_examples=40, deadline=None)
