@@ -40,12 +40,14 @@ from .forrelation import (
     oddk_extension_count,
     phi_bruteforce,
     phi_circuit,
+    phi_circuits,
     phi_fixed_ansatz,
     restricted_functions,
     sample_from_string,
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
+    simulate_reduced_batch,
 )
 from .classify import (
     DegenerateTrainingSetError,

@@ -150,23 +150,26 @@ def _sweep_too_large(n: int, k: int) -> bool:
 
 
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
-    """phi_bruteforce vs phi_circuit: exhaustive at (n=2,k=3) and (n=3,k=3)
-    unless scoped, plus randomised draws with n <= 4 and k*n <= 16.  Both
-    round the same exact value once, so they must agree bit for bit."""
-    max_dev = 0.0
+    """phi_bruteforce vs phi_circuit and vs phi_circuits over all of the
+    instances at once: exhaustive at (n=2,k=3) and (n=3,k=3) unless scoped,
+    plus randomised draws with n <= 4 and k*n <= 16.  All three round the
+    same exact value once, so they must agree bit for bit."""
+    insts = []
     sweeps = [(n, k)] if n is not None and k is not None else [(2, 3), (3, 3)]
     for sn, sk in sweeps:
         if _sweep_too_large(sn, sk):
             raise ValueError(f"exhaustive sweep too large for n={sn}, k={sk}")
-        for funcs in itertools.product(forrelation.restricted_functions(sn), repeat=sk):
-            inst = forrelation.ForrelationInstance(sn, funcs)
-            max_dev = max(max_dev, abs(forrelation.phi_bruteforce(inst) - forrelation.phi_circuit(inst)))
+        insts += [forrelation.ForrelationInstance(sn, funcs)
+                  for funcs in itertools.product(forrelation.restricted_functions(sn), repeat=sk)]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         rn = int(rng.integers(1, 5))
         rk = int(rng.integers(1, 16 // rn + 1))
-        inst = forrelation.random_instance(rn, rk, rng)
-        max_dev = max(max_dev, abs(forrelation.phi_bruteforce(inst) - forrelation.phi_circuit(inst)))
+        insts.append(forrelation.random_instance(rn, rk, rng))
+    max_dev = 0.0
+    for inst, batched in zip(insts, forrelation.phi_circuits(insts)):
+        exact = forrelation.phi_bruteforce(inst)
+        max_dev = max(max_dev, abs(exact - forrelation.phi_circuit(inst)), abs(exact - batched))
     return max_dev == 0.0, max_dev
 
 

@@ -8,7 +8,10 @@ Two sources of samples:
   product, rest constant);
 * rejection-sampled test instances: uniform draws over the restricted
   function family, kept only when exact simulation puts Phi inside a
-  promise band (positive: Phi >= 3/5, negative: |Phi| <= 1/100).
+  promise band (positive: Phi >= 3/5, negative: |Phi| <= 1/100).  Draws
+  are simulated a chunk at a time (forrelation.phi_circuits) and accepted
+  in order, so a dataset and its report are those a draw-by-draw loop
+  gives.
 
 Labels are always derived from exact simulation, never from shots.  The
 file format is line-delimited JSON: one header record carrying the
@@ -34,15 +37,18 @@ from .forrelation import (
     encode,
     function_of,
     phi_circuit,
+    phi_circuits,
     random_instance,
     restricted_functions,
     sample_from_string,
     simulate_reduced,
 )
+from .qstate import CapacityError
 
 POSITIVE_PHI_MIN = 3 / 5
 NEGATIVE_PHI_MAX = 1 / 100
 CONSTRUCTIVE_TOL = 1e-12
+CHUNK_MIN, CHUNK_MAX = 16, 64   # rejection draws per batch; the cap bounds memory
 
 PROVENANCE_CONSTRUCTIVE = "constructive"
 PROVENANCE_REJECTION = "rejection_sampled"
@@ -114,9 +120,9 @@ def make_positive_sample(n: int, k: int, i: int, j: int, l: int) -> LabeledSampl
     functions = [CONSTANT] * k
     functions[0] = functions[2] = function_of(i, j, l)
     inst = ForrelationInstance(n, tuple(functions))
-    amp0 = simulate_reduced(inst).amplitude(0)
-    if abs(amp0 - 1.0) > CONSTRUCTIVE_TOL:
-        raise RuntimeError(f"positive construction failed: <0|U|0> = {amp0!r}")
+    phi = phi_circuit(inst)
+    if abs(phi - 1.0) > CONSTRUCTIVE_TOL:
+        raise RuntimeError(f"positive construction failed: <0|U|0> = {phi!r}")
     return LabeledSample(encode(inst), 1, 1.0, PROVENANCE_CONSTRUCTIVE)
 
 
@@ -176,8 +182,23 @@ class GenerationReport:
     phi_bins: tuple[int, ...]   # 20 equal bins over [-1, 1] for all tried instances
 
 
+def _phis(chunk: list[ForrelationInstance]) -> Iterable[float]:
+    """Phi of each draw, in order, from one batch.  Should any draw fail,
+    they are taken one at a time instead, so that an error raises only if
+    the accept loop reaches its draw, as it would draw by draw."""
+    try:
+        return phi_circuits(chunk)
+    except (CapacityError, RuntimeError):
+        return map(phi_circuit, chunk)
+
+
 def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], GenerationReport]:
     """Rejection-sample labelled instances per the spec.
+
+    Draws come from one rng seeded with spec.seed, in chunks of CHUNK_MIN
+    to CHUNK_MAX whose Phi is evaluated in one batch; draws are accepted in
+    order and the loop stops at the same try as a draw-by-draw loop, so the
+    result does not depend on the chunking.
 
     Positives left unfilled after max_rejection_tries are topped up with
     engineered samples over distinct (i, j, l) triples (reported, never
@@ -191,18 +212,26 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], Generation
     phis: list[float] = []
     need_pos, need_neg = spec.count_pos, spec.count_neg
     while (need_pos > 0 or need_neg > 0) and tries < spec.max_rejection_tries:
-        tries += 1
-        inst = sample_random_instance(spec.n, spec.k, rng)
-        phi = phi_circuit(inst)
-        phis.append(phi)
-        if phi >= POSITIVE_PHI_MIN and need_pos > 0:
-            samples.append(LabeledSample(encode(inst), 1, phi, PROVENANCE_REJECTION))
-            accepted_pos += 1
-            need_pos -= 1
-        elif abs(phi) <= NEGATIVE_PHI_MAX and need_neg > 0:
-            samples.append(LabeledSample(encode(inst), -1, phi, PROVENANCE_REJECTION))
-            accepted_neg += 1
-            need_neg -= 1
+        # As many draws as the remaining need takes at each class's
+        # acceptance rate so far (one per sample before the first try).
+        expected = [need * tries / accepted if accepted else CHUNK_MAX
+                    for need, accepted in ((need_pos, accepted_pos), (need_neg, accepted_neg)) if need > 0]
+        size = max(CHUNK_MIN, math.ceil(max(expected) if tries else need_pos + need_neg))
+        size = min(size, CHUNK_MAX, spec.max_rejection_tries - tries)
+        chunk = [sample_random_instance(spec.n, spec.k, rng) for _ in range(size)]
+        for inst, phi in zip(chunk, _phis(chunk)):
+            tries += 1
+            phis.append(phi)
+            if phi >= POSITIVE_PHI_MIN and need_pos > 0:
+                samples.append(LabeledSample(encode(inst), 1, phi, PROVENANCE_REJECTION))
+                accepted_pos += 1
+                need_pos -= 1
+            elif abs(phi) <= NEGATIVE_PHI_MAX and need_neg > 0:
+                samples.append(LabeledSample(encode(inst), -1, phi, PROVENANCE_REJECTION))
+                accepted_neg += 1
+                need_neg -= 1
+            if need_pos <= 0 and need_neg <= 0:
+                break
 
     constructive_pos = 0
     if need_pos > 0:
@@ -220,9 +249,7 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], Generation
             f"rejection sampling exhausted {spec.max_rejection_tries} tries with {need_neg} negatives missing"
         )
 
-    # Phi is often exactly 0 or 0.5, both bin edges: rounding first files such
-    # a value by its exact value, not by the sign of its rounding residue.
-    bins = np.histogram(np.round(phis, 12), bins=20, range=(-1.0, 1.0))[0] if phis else np.zeros(20, int)
+    bins = np.histogram(phis, bins=20, range=(-1.0, 1.0))[0] if phis else np.zeros(20, int)
     report = GenerationReport(
         tries=tries,
         accepted_pos=accepted_pos,

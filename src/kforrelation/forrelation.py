@@ -1,4 +1,4 @@
-"""k-forrelation instances and three independent evaluations of Phi.
+"""k-forrelation instances and four independent evaluations of Phi.
 
 An instance is an ordered list of k restricted Boolean functions over n-bit
 inputs: each function is either the constant +1 or (-1)^(product of at most
@@ -15,7 +15,8 @@ and lies in [-1, 1].  This module provides:
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
 * phi_circuit     - exact statevector simulation of U_F, one connected
   component of the function supports at a time (simulate_reduced), equal
-  to phi_bruteforce bit for bit,
+  to phi_bruteforce bit for bit; phi_circuits gives the same bits for a
+  list of instances (simulate_reduced_batch),
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -39,6 +40,11 @@ amplitudes are exact scaled values, multiplies the components' entries as
 exact integers and rounds once when an amplitude or probability is read.
 A component's last Hadamard layer stays open: its index 0 reads as an
 exact sum, and only a read of another index closes it.
+simulate_reduced_batch does the same for many instances at once: it
+groups the components of all of them by qubit count and collapsed program
+shape (qstate.collapse_layers) and runs each group as the rows of one
+block, then reads every value through the same Component and ReducedState
+code, so the one rounding happens in one place.
 phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
 the independent references the reduction is checked against.
 """
@@ -58,6 +64,7 @@ from .qstate import (
     StateVector,
     apply_circuit,
     close_layer,
+    collapse_layers,
     controlled_phase,
     hadamard_all,
     init_zero,
@@ -343,10 +350,11 @@ class Component:
     state: StateVector
     exponent: int
     scale: float = 0.0
-    mask: int = field(init=False)   # bit q-1 set for each qubit q of support
+    mask: int = 0   # bit q-1 set for each qubit q of support; worked out here when not given
 
     def __post_init__(self):
-        self.mask = sum(1 << (q - 1) for q in self.support)
+        if not self.mask:
+            self.mask = sum(1 << (q - 1) for q in self.support)
 
     def close(self) -> None:
         """Apply the open last Hadamard layer, if there is one."""
@@ -430,11 +438,54 @@ def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     open until a read needs it.  The statevector cap applies to each
     component's qubit count, not to n or to the support union."""
     comps = []
+    for part, support, flips, open_last in _programs(inst):
+        states, e, scale = run_sign_circuit(len(support), [flips], open_last)
+        comps.append(Component(support, states[0], e, scale, part))
+    return _reduced_state(inst, comps)
+
+
+def simulate_reduced_batch(insts: Sequence[ForrelationInstance]) -> list[ReducedState]:
+    """simulate_reduced of each instance, with the components of all of
+    them grouped by qubit count and collapsed program shape (applied
+    Hadamard layers, open last layer) and each group run by one
+    run_sign_circuit call, as the rows of one block.  Every value is read
+    through the same Component and ReducedState code.  simulate_reduced
+    does not go through the grouping: for one instance it cost more than
+    it saved."""
+    groups: dict[tuple[int, int, bool], list] = {}   # (qubits, layers, open_last) -> programs
+    layout = []   # per instance: (mask, support, group, row) per component
+    for inst in insts:
+        parts = []
+        for part, support, flips, open_last in _programs(inst):
+            group = (len(support), len(flips), open_last)
+            rows = groups.setdefault(group, [])
+            parts.append((part, support, group, len(rows)))
+            rows.append(flips)
+        layout.append(parts)
+    runs = {group: run_sign_circuit(group[0], rows, group[2]) for group, rows in groups.items()}
+    out = []
+    for inst, parts in zip(insts, layout):
+        comps = []
+        for part, support, group, i in parts:
+            states, e, scale = runs[group]
+            comps.append(Component(support, states[i], e, scale, part))
+        out.append(_reduced_state(inst, comps))
+    return out
+
+
+def _programs(inst: ForrelationInstance):
+    """Per component of inst: its qubit mask, its qubits, then
+    qstate.collapse_layers of its circuit on them (functions outside it act
+    as the identity)."""
     for part in _parts([f.mask for f in inst.functions]):
         support = _qubits(part)
         bit = {q: 1 << i for i, q in enumerate(support)}
-        local = [sum(map(bit.__getitem__, f.bits)) if f.mask & part else 0 for f in inst.functions]
-        comps.append(Component(support, *run_sign_circuit(len(support), local)))
+        flips, open_last = collapse_layers([sum(map(bit.__getitem__, f.bits)) if f.mask & part else 0
+                                            for f in inst.functions])
+        yield part, support, flips, open_last
+
+
+def _reduced_state(inst: ForrelationInstance, comps: list[Component]) -> ReducedState:
     free_in_plus = inst.k % 2 == 0
     free = inst.n - sum(len(c.support) for c in comps) if free_in_plus else 0
     return ReducedState(inst.n, tuple(comps), free_in_plus, free)
@@ -450,6 +501,12 @@ def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit, simulated one
     connected component of the supports at a time (simulate_reduced)."""
     return _checked_phi(simulate_reduced(inst).amplitude(0))
+
+
+def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
+    """[phi_circuit(x) for x in insts], bit for bit, from one
+    simulate_reduced_batch.  Any instance's error raises for the whole list."""
+    return [_checked_phi(red.amplitude(0)) for red in simulate_reduced_batch(insts)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,24 @@ A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
 +-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
 scale.
 
-Two ways to run a circuit share that kernel.  run_sign_circuit runs the
-forrelation circuit of a list of sign masks with exact arithmetic and one
-rounding left to the caller; every reduced simulation uses it.  It fills
-its first Hadamard layer in as the uniform vector and leaves its last one
-open, for close_layer to apply when an entry other than index 0 is read.
-The Gate engine (apply_gate, apply_circuit, unitary_of) applies any gate of
-the family and rounds at every layer; it is the dense reference.
+Two ways to run a circuit share that kernel.  run_sign_circuit runs
+forrelation circuits of sign masks with exact arithmetic and one rounding
+left to the caller; every reduced simulation uses it.  collapse_layers
+first drops the identity layers of a circuit, and circuits of the same
+width and collapsed shape run together, as the rows of one block, with one
++-1 transform, one gather of signs and one per-row norm check per layer.
+The runner fills its first Hadamard layer in as the uniform vector and
+leaves its last one open, for close_layer to apply when an entry other
+than index 0 is read.  The Gate engine (apply_gate, apply_circuit,
+unitary_of) applies any gate of the family and rounds at every layer; it
+is the dense reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +49,7 @@ UNITARY_MAX_QUBITS = 6   # dense-matrix construction is for verification only
 NORM_TOL = 1e-12
 WHT_BLOCK_QUBITS = 6     # qubits per Hadamard matmul: a 64 x 64 matrix, 32 KiB
 WHT_SLAB = 1 << 16       # amplitudes per matmul call, so the temporary stays small
+SIGN_TABLE_QUBITS = 6    # widest runner flip done by table gather: 2^6 x 2^6 signs, 32 KiB
 
 
 class CapacityError(ValueError):
@@ -123,10 +129,13 @@ class StateVector:
     """2^n float64 amplitudes; any other array raises ValueError.  The Gate
     engine keeps them at unit norm.  run_sign_circuit returns them scaled by
     2^(e/2), e in {0, 1}, possibly with the last Hadamard layer still open
-    (see close_layer).
+    (see close_layer).  The states one run_sign_circuit call returns for a
+    batch are rows of one shared block: each ``amplitudes`` is a view, so
+    the block lives as long as any of them.
 
     A value type: move it freely between threads, mutate from one writer.
-    Gate application updates ``amplitudes`` in place.
+    Gate application updates ``amplitudes`` in place; writing to a row of a
+    block writes to that row only.
     """
 
     n_qubits: int
@@ -146,11 +155,15 @@ class StateVector:
 
 def init_zero(n: int) -> StateVector:
     """Prepare |0...0> on n qubits."""
-    if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
-        raise CapacityError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+    _check_capacity(n)
     amp = np.zeros(1 << n)
     amp[0] = 1.0
     return StateVector(n, amp)
+
+
+def _check_capacity(n: int) -> None:
+    if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
+        raise CapacityError(f"n must be in [1, {MAX_QUBITS}], got {n}")
 
 
 def _check_norms(ratios: Sequence[float]) -> None:
@@ -269,58 +282,123 @@ def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
     return state
 
 
-def run_sign_circuit(m: int, masks: Sequence[int]) -> tuple[StateVector, int, float]:
-    """H^m D_k H^m ... D_1 H^m |0...0> on m qubits, where D_i is -1 on every
-    basis state x with x & masks[i] == masks[i] (mask 0 is the identity).
+def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
+    """The identity-free program of the circuit H^m D_k H^m ... D_1 H^m
+    |0...0>, where D_i is -1 on every basis state x with x & masks[i] ==
+    masks[i] (mask 0 is the identity).
 
-    Returns (state, e, scale): the circuit's amplitudes are the closed
-    state's entries divided by sqrt(2^e), with e = J*m mod 2 for the J
-    Hadamard layers applied, a factor left for the caller to apply with one
-    rounding.  The last Hadamard layer is left open: state holds the
-    amplitudes before it, scale is its rescale, and close_layer applies it.
-    The closed index 0 is scale times the sum of state, which adds the terms
-    row 0 of the transform adds, so it is exact whenever the transform is.
-    scale is 0.0 when the circuit ends on a flip, with no layer open.
-
-    Identity layers are collapsed first: around a zero mask the two
-    Hadamard layers cancel, flips with no Hadamard layer left between them
-    are applied back to back, and a flip before the first applied Hadamard
-    layer acts on |0...0> and is skipped.  The Hadamard layers run
-    unnormalised, and applied layer j is rescaled by
-    2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds sqrt(2) at
-    any k and each stays an exact dyadic rational while its numerator fits
-    in 53 bits.  The first applied layer acts on |0...0>, so it is filled
-    in as the uniform vector.  Each sign layer is an exact in-place flip.
-    The norm after each later Hadamard layer and each flip is checked
-    against NORM_TOL before the state is returned.
+    Returns (flips, open_last).  flips[j] holds the masks applied, back to
+    back, after the (j+1)-th applied Hadamard layer; open_last is true when
+    one more Hadamard layer ends the circuit.  Around a zero mask the two
+    Hadamard layers cancel, so the flips on either side of it have no layer
+    between them, and a flip before the first applied layer acts on |0...0>
+    and is dropped.  Two circuits with the same qubit count, len(flips) and
+    open_last run as rows of one block in run_sign_circuit.
     """
-    state = init_zero(m)
-    amp = state.amplitudes
-    layers = 0          # Hadamard layers applied
+    flips: list[list[int]] = []
     pending = True      # an odd number of Hadamard layers is due before the next flip
-    norms = []          # sum |a|^2 after each applied gate, over the value it should have (1 or 2)
     for mask in masks:
-        if mask == 0:
+        if not mask:
             pending = not pending
-            continue
-        if pending and not layers:  # H^m|0...0>: the uniform vector, exactly
-            amp.fill(_layer_scale(0, m))
-            layers = 1
-            norm2 = 2.0 ** (m % 2)
         elif pending:
-            _wht_inplace(amp, m)
-            amp *= _layer_scale(layers, m)
-            layers += 1
-            norm2 = 2.0 ** (layers * m % 2)
-            norms.append(float(amp.dot(amp)) / norm2)
-        if layers:
-            _flip_inplace(amp, m, mask)
-            norms.append(float(amp.dot(amp)) / norm2)
-        pending = True
+            flips.append([mask])
+        else:
+            if flips:
+                flips[-1].append(mask)
+            pending = True
+    return flips, pending
+
+
+def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
+                     open_last: bool) -> tuple[list[StateVector], int, float]:
+    """Run B collapsed circuits on m qubits (collapse_layers), all with the
+    same number of applied Hadamard layers and the same open_last, as the
+    rows of one (B, 2^m) block.
+
+    Returns (states, e, scale): states[i] is row i of the block, and the
+    circuit's amplitudes are the closed row's entries divided by sqrt(2^e),
+    with e = J*m mod 2 for the J Hadamard layers of the circuit, a factor
+    left for the caller to apply with one rounding.  When open_last is true
+    the last Hadamard layer is left open: a row holds the amplitudes before
+    it, scale is its rescale, and close_layer applies it.  The closed index
+    0 is scale times the sum of the row, which adds the terms row 0 of the
+    transform adds, so it is exact whenever the transform is.  scale is 0.0
+    when the circuits end on a flip, with no layer open.
+
+    The Hadamard layers run unnormalised, and applied layer j is rescaled
+    by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
+    sqrt(2) at any k and each stays an exact dyadic rational while its
+    numerator fits in 53 bits.  The first applied layer acts on |0...0>, so
+    it is filled in as the uniform vector; each later one is one +-1
+    transform of the whole block.  Each flip is an exact -1 on the entries
+    its mask selects.  After each layer's flips the norm of every row is
+    checked against NORM_TOL, before the states are returned.
+
+    A single circuit (B = 1) runs on one init_zero vector instead: the
+    block's per-call numpy overhead made a batch of one slower than that.
+    Both loops apply the same exact operations, so they give the same bits.
+    """
+    layers = len(programs[0])
+    norms: list[float] = []   # sum |a|^2 after each layer's flips, over the value it should have
+    if len(programs) == 1:
+        state = init_zero(m)
+        amp = state.amplitudes
+        for j, masks in enumerate(programs[0]):
+            if j:
+                _wht_inplace(amp, m)
+                amp *= _layer_scale(j, m)
+            else:
+                amp.fill(_layer_scale(0, m))
+            for mask in masks:
+                _flip_inplace(amp, m, mask)
+            norms.append(float(amp.dot(amp)) / 2.0 ** ((j + 1) * m % 2))
+        states = [state]
+    else:
+        states = _run_block(m, programs, norms)
     _check_norms(norms)
-    if not pending:
-        return state, layers * m % 2, 0.0
-    return state, (layers + 1) * m % 2, _layer_scale(layers, m)
+    if not open_last:
+        return states, layers * m % 2, 0.0
+    return states, (layers + 1) * m % 2, _layer_scale(layers, m)
+
+
+def _run_block(m: int, programs: Sequence[Sequence[Sequence[int]]], norms: list[float]) -> list[StateVector]:
+    """run_sign_circuit's layer loop on the rows of one block: one fill,
+    +-1 transform, rescale and per-row norm per layer."""
+    _check_capacity(m)
+    block = np.zeros((len(programs), 1 << m))
+    block[:, 0] = 1.0
+    for j in range(len(programs[0])):
+        if j:
+            _wht_inplace(block.reshape(-1), m)
+            block *= _layer_scale(j, m)
+        else:
+            block.fill(_layer_scale(0, m))
+        _flip_rows(block, m, [p[j] for p in programs])
+        norms.extend((np.einsum("ij,ij->i", block, block) / 2.0 ** ((j + 1) * m % 2)).tolist())
+    return [StateVector(m, row) for row in block]
+
+
+def _flip_rows(block: np.ndarray, m: int, flips: Sequence[Sequence[int]]) -> None:
+    """Apply flips[i], back to back, to row i of block."""
+    if m > SIGN_TABLE_QUBITS:
+        for row, masks in zip(block, flips):
+            for mask in masks:
+                _flip_inplace(row, m, mask)
+        return
+    table = _sign_table(m)
+    for f in range(max(map(len, flips))):
+        block *= table.take([masks[f] if f < len(masks) else 0 for masks in flips], axis=0)
+
+
+@lru_cache(maxsize=None)
+def _sign_table(m: int) -> np.ndarray:
+    """Row `mask` holds the +-1 signs of the flip on mask, row 0 all +1 (the
+    identity): one gather per flip applies a different mask to each row."""
+    table = np.ones((1 << m, 1 << m))
+    for mask in range(1, 1 << m):
+        _flip_inplace(table[mask], m, mask)
+    table.flags.writeable = False   # shared by every caller
+    return table
 
 
 def _layer_scale(layers: int, m: int) -> float:

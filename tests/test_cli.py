@@ -246,6 +246,7 @@ def _break_last_gadget(extend):
 # be able to fail.
 INJECTED_FAULTS = [
     ("oracle_equivalence", "phi_circuit", lambda f: lambda inst: f(inst) + 1e-9),
+    ("oracle_equivalence", "phi_circuits", lambda f: lambda insts: [v + 1e-9 for v in f(insts)]),
     ("ansatz_equivalence", "simulate_fixed_ansatz",
      lambda f: lambda s: qstate.StateVector(s.n, -f(s).amplitudes)),
     ("ansatz_equivalence", "build_fixed_ansatz", _drop_one_slot),

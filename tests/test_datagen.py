@@ -1,16 +1,20 @@
 import filecmp
-import math
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kforrelation import datagen
+from kforrelation import datagen, forrelation, qstate
 from kforrelation.datagen import (
     NEGATIVE_PHI_MAX,
     POSITIVE_PHI_MIN,
     DatasetFormatError,
     DatasetSpec,
     GenerationError,
+    GenerationReport,
     LabeledSample,
     generate_dataset,
     make_negative_sample,
@@ -19,7 +23,17 @@ from kforrelation.datagen import (
     sample_random_instance,
     write_dataset,
 )
-from kforrelation.forrelation import decode, phi_circuit, restricted_functions, simulate_instance
+from kforrelation.forrelation import (
+    components,
+    decode,
+    encode,
+    phi_bruteforce,
+    phi_circuit,
+    phi_circuits,
+    restricted_functions,
+    simulate_instance,
+)
+from kforrelation.qstate import CapacityError
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +146,135 @@ def test_generate_dataset_example_spec():
             assert abs(phi) <= NEGATIVE_PHI_MAX
 
 
-def _shift_ulps(x, ulps):
-    for _ in range(abs(ulps)):
-        x = math.nextafter(x, math.copysign(math.inf, ulps))
-    return x
-
-
-@pytest.mark.parametrize("ulps", [2, -2])
-def test_phi_bins_ignore_ulp_residue(monkeypatch, ulps):
-    # Phi = 0 and Phi = 0.5 are bin edges and both occur at this spec.
-    spec = DatasetSpec(8, 3, 10, 10, seed=11)
+def test_phi_bins_count_exact_phi():
+    # Phi = 0 and Phi = 0.5 are bin edges and both occur at this spec; the
+    # bins must file each draw by its exact value, which phi_bruteforce
+    # gives over the same seeded draws.
+    spec = DatasetSpec(4, 3, 5, 5, seed=1)
     _, report = generate_dataset(spec)
-    assert report.phi_bins[10] and report.phi_bins[15]
-    monkeypatch.setattr(datagen, "phi_circuit", lambda inst: _shift_ulps(phi_circuit(inst), ulps))
-    _, shifted = generate_dataset(spec)
-    assert shifted.tries == report.tries
-    assert shifted.phi_bins == report.phi_bins
+    rng = np.random.default_rng(spec.seed)
+    exact = [phi_bruteforce(sample_random_instance(spec.n, spec.k, rng)) for _ in range(report.tries)]
+    assert 0.0 in exact and 0.5 in exact
+    assert report.phi_bins == tuple(np.histogram(exact, bins=20, range=(-1.0, 1.0))[0])
+
+
+def draw_by_draw(spec):
+    """generate_dataset as one draw, one phi_circuit and one accept step at
+    a time: the reference the chunked loop must reproduce."""
+    if (spec.count_pos or spec.count_neg) and spec.n < 3:
+        raise GenerationError(f"promise-complete instances need n >= 3, got n = {spec.n}")
+    rng = np.random.default_rng(spec.seed)
+    samples, phis = [], []
+    need_pos, need_neg = spec.count_pos, spec.count_neg
+    accepted_pos = accepted_neg = 0
+    while (need_pos > 0 or need_neg > 0) and len(phis) < spec.max_rejection_tries:
+        inst = sample_random_instance(spec.n, spec.k, rng)
+        phi = phi_circuit(inst)
+        phis.append(phi)
+        if phi >= POSITIVE_PHI_MIN and need_pos > 0:
+            samples.append(LabeledSample(encode(inst), 1, phi, "rejection_sampled"))
+            accepted_pos, need_pos = accepted_pos + 1, need_pos - 1
+        elif abs(phi) <= NEGATIVE_PHI_MAX and need_neg > 0:
+            samples.append(LabeledSample(encode(inst), -1, phi, "rejection_sampled"))
+            accepted_neg, need_neg = accepted_neg + 1, need_neg - 1
+    triples = list(itertools.combinations(range(1, spec.n + 1), 3))
+    if need_pos > len(triples):
+        raise GenerationError(
+            f"cannot fill {need_pos} positives: only {len(triples)} distinct constructive triples at n = {spec.n}")
+    samples += [make_positive_sample(spec.n, spec.k, *t) for t in triples[:need_pos]]
+    if need_neg > 0:
+        raise GenerationError(
+            f"rejection sampling exhausted {spec.max_rejection_tries} tries with {need_neg} negatives missing")
+    tries = len(phis)
+    report = GenerationReport(
+        tries, accepted_pos, accepted_neg, need_pos,
+        accepted_pos / tries if tries else 0.0, accepted_neg / tries if tries else 0.0,
+        min(phis) if phis else None, max(phis) if phis else None, float(np.mean(phis)) if phis else None,
+        tuple(int(b) for b in np.histogram(phis, bins=20, range=(-1.0, 1.0))[0]))
+    return samples, report
+
+
+def outcome(fn, spec):
+    try:
+        return fn(spec)
+    except GenerationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(DatasetSpec, n=st.integers(2, 7), k=st.sampled_from([3, 5, 7]), count_pos=st.integers(0, 12),
+                 count_neg=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+                 max_rejection_tries=st.integers(0, 150)))
+@example(DatasetSpec(3, 3, 0, 0, seed=1))                                # zero counts: no draw
+@example(DatasetSpec(6, 7, 25, 25, seed=3, max_rejection_tries=37))     # budget ends mid-chunk, too few triples
+@example(DatasetSpec(6, 7, 25, 25, seed=3, max_rejection_tries=200))    # budget ends mid-chunk, positives topped up
+@example(DatasetSpec(4, 3, 0, 9, seed=5, max_rejection_tries=20))       # negatives missing
+@example(DatasetSpec(2, 3, 1, 0, seed=5))                               # n too small
+def test_generate_dataset_equals_draw_by_draw_loop(spec):
+    chunks = []
+    real = datagen.phi_circuits
+
+    def spy(insts):
+        chunks.append(len(insts))
+        return real(insts)
+
+    with mock.patch.object(datagen, "phi_circuits", spy):
+        got = outcome(generate_dataset, spec)
+    assert got == outcome(draw_by_draw, spec)
+    # Chunks hold CHUNK_MIN to CHUNK_MAX draws, fewer only where the budget ends.
+    assert sum(chunks) <= spec.max_rejection_tries
+    assert all(datagen.CHUNK_MIN <= size <= datagen.CHUNK_MAX for size in chunks[:-1])
+    if chunks:
+        assert chunks[-1] <= datagen.CHUNK_MAX
+        assert chunks[-1] >= datagen.CHUNK_MIN or sum(chunks) == spec.max_rejection_tries
+        if not isinstance(got, str):
+            assert got[1].tries > sum(chunks[:-1])   # no chunk is drawn past the stop
+
+
+def spied_chunks(monkeypatch):
+    chunks = []
+    real = datagen.phi_circuits
+
+    def spy(insts):
+        chunks.append(list(insts))
+        return real(insts)
+
+    monkeypatch.setattr(datagen, "phi_circuits", spy)
+    return chunks
+
+
+def test_over_cap_draw_past_the_stop_point_does_not_surface(monkeypatch):
+    # The quota is met at try 5 of a 16-draw chunk whose draw 6 has a
+    # 6-qubit component: above a cap of 5, the batch raises CapacityError,
+    # while the draw-by-draw loop never simulates that draw.
+    spec = DatasetSpec(8, 3, 2, 2, seed=40)
+    want = generate_dataset(spec)
+    chunks = spied_chunks(monkeypatch)
+    monkeypatch.setattr(qstate, "MAX_QUBITS", 5)
+    assert generate_dataset(spec) == want
+    assert want[1].tries == 5 and len(chunks) == 1
+    widest = [max(map(len, components(inst))) for inst in chunks[0]]
+    assert max(widest[:5]) <= 5 < widest[5]
+    with pytest.raises(CapacityError):
+        phi_circuits(chunks[0])
+    bigger = DatasetSpec(8, 3, 2, 3, seed=40)   # one more negative: the loop reaches an over-cap draw
+    with pytest.raises(CapacityError):
+        generate_dataset(bigger)
+
+
+def test_phi_bound_failure_past_the_stop_point_does_not_surface(monkeypatch):
+    # With the |Phi| <= 1 check tightened to |Phi| <= 0.7, a draw after the
+    # stop point fails it; the dataset must still be the untouched one.
+    spec = DatasetSpec(4, 3, 0, 3, seed=1)
+    want = generate_dataset(spec)
+    chunks = spied_chunks(monkeypatch)
+    monkeypatch.setattr(forrelation, "PHI_BOUND_TOL", -0.3)
+    assert generate_dataset(spec) == want
+    with pytest.raises(RuntimeError, match="exceeds 1"):
+        phi_circuits(chunks[0])
+    monkeypatch.undo()
+    phis = [abs(phi_bruteforce(inst)) for inst in chunks[0]]
+    assert want[1].tries == 5 and max(phis[:5]) <= 0.7 < max(phis[5:])
 
 
 def test_generate_dataset_empty():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from kforrelation import classify, qstate
 from kforrelation.classify import DualSolution, kernel, negative_target_index, qsvm_classify, vqc_probability
-from kforrelation.datagen import make_negative_sample, make_positive_sample
+from kforrelation.datagen import DatasetSpec, generate_dataset, make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
     CONSTANT,
     Component,
@@ -31,11 +31,13 @@ from kforrelation.forrelation import (
     instance_of,
     phi_bruteforce,
     phi_circuit,
+    phi_circuits,
     random_instance,
     restricted_functions,
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
+    simulate_reduced_batch,
 )
 from kforrelation.qstate import CapacityError, StateVector, init_zero, phase_flip
 
@@ -63,6 +65,18 @@ def disjoint_unions(draw, parts=st.integers(2, 3), n=st.integers(1, 3), k=st.int
         offset += piece.n
     order = draw(st.permutations([i for i, q in enumerate(queues) for _ in q]))
     return ForrelationInstance(offset, tuple(queues[i].pop(0) for i in order))
+
+
+# Every component of ONE and SPLIT applies a Hadamard layer between its first
+# and its last: two of its flips sit an odd number of layers apart.  OUTER's
+# component {1, 2} applies only the filled first layer and the open last
+# one, and its {4, 5, 6} acts on |000> alone and applies none.
+ONE = instance_of(4, {1, 2}, {2, 3, 4}, {4})
+SPLIT = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6})
+OUTER = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
+# One 8-qubit component, wider than the runner's sign table, whose last two
+# flips act back to back.
+WIDE = instance_of(8, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, (), {7, 8}, {1})
 
 
 def cut(inst):
@@ -106,6 +120,38 @@ def check_against_dense(inst):
 @example(instance_of(3, {1, 2}, ()))        # ends on a constant: no layer is left open
 def test_reduced_matches_dense_and_bruteforce(inst):
     check_against_dense(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(disjoint_unions(), instances(n=st.integers(1, 10), k=st.integers(1, 7))),
+                min_size=1, max_size=12), st.randoms(use_true_random=False))
+@example([instance_of(3, (), ()), instance_of(3, (), (), ())], None)               # all constant, even and odd k
+@example([instance_of(3, (), {1, 2, 3})] * 2 + [instance_of(4, {4}, ()), ONE, ONE], None)  # a block of rows with no applied layer
+@example([instance_of(8, {2, 5}, {2}), instance_of(5, {1, 2}, {3, 4, 5}, {2}, {5}), SPLIT, OUTER, ONE], None)
+@example([WIDE, instance_of(8, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, (), {7, 8}, {2}), WIDE], None)   # rows above the sign table
+def test_batch_equals_one_at_a_time(insts, random):
+    # Bit for bit: Phi, and every amplitude and probability read at random z.
+    assert phi_circuits(insts) == [phi_circuit(inst) for inst in insts]
+    batch = simulate_reduced_batch(insts)
+    for inst, red in zip(insts, batch):
+        single = simulate_reduced(inst)
+        for z in [0] + [random.randrange(1 << inst.n) for _ in range(3)] if random else range(1 << inst.n):
+            assert red.amplitude(z) == single.amplitude(z)
+            assert red.probability(z) == single.probability(z)
+
+
+def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
+    # ONE's component and SPLIT's two are of three different widths; the two
+    # ONEs share a block, and closing one row leaves the other as it was.
+    a, b, split, wide, wide_too = simulate_reduced_batch([ONE, ONE, SPLIT, WIDE, WIDE])
+    rows = [red.components[0].state.amplitudes for red in (a, b)]
+    assert rows[0].base is rows[1].base is not None
+    assert wide.components[0].state.n_qubits > qstate.SIGN_TABLE_QUBITS
+    assert wide.components[0].state.amplitudes.base is wide_too.components[0].state.amplitudes.base
+    assert split.components[0].state.amplitudes.base is not rows[0].base
+    a.amplitude(1)
+    assert not a.components[0].scale and b.components[0].scale
+    assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -333,15 +379,6 @@ def test_disjoint_support_above_the_state_cap_runs_per_component():
     assert phi_circuit(inst) == 0.75 ** 5 == 0.2373046875
 
 
-# Every component of ONE and SPLIT applies a Hadamard layer between its first
-# and its last: two of its flips sit an odd number of layers apart.  OUTER's
-# component {1, 2} applies only the filled first layer and the open last
-# one, and its {4, 5, 6} acts on |000> alone and applies none.
-ONE = instance_of(4, {1, 2}, {2, 3, 4}, {4})
-SPLIT = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6})
-OUTER = instance_of(6, {1, 2}, {4, 5, 6}, {2}, {6}, {1})
-
-
 def check_closing_raises(outer_red):
     # Index 0 never closes the open layer; a read that sets qubit 4 touches
     # only the closed {4, 5, 6}; one that sets qubit 1 closes {1, 2}.
@@ -360,6 +397,19 @@ def test_a_read_closes_only_the_components_whose_qubits_it_sets():
     assert red.probability(0) == p0
 
 
+# Twice each: every component then shares its block with one other row.
+BATCH = [ONE, SPLIT, ONE, SPLIT]
+GEN = DatasetSpec(6, 7, 2, 2, seed=3)
+
+
+def check_batch_and_gen_raise():
+    for run in (simulate_reduced_batch, phi_circuits):
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run(BATCH)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        generate_dataset(GEN)
+
+
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
     real = qstate._wht_inplace
 
@@ -367,14 +417,30 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
         real(amp, n)
         amp *= 1 + 1e-9
 
+    def one_row_drifts(amp, n):
+        # In a block, row 0 drifts up and row 1 down: the block's total
+        # stays put to first order, so only a per-row check sees it.
+        real(amp, n)
+        rows = amp.reshape(-1, 1 << n)
+        if len(rows) > 1:
+            rows[0] *= 1 + 1e-9
+            rows[1] *= 1 - 1e-9
+
     assert list(map(len, components(ONE))) == [4] and list(map(len, components(SPLIT))) == [2, 3]
     for inst in (ONE, SPLIT):
         simulate_reduced(inst)
+    simulate_reduced_batch(BATCH)
+    generate_dataset(GEN)
     monkeypatch.setattr(qstate, "_wht_inplace", drifting)
     for inst in (ONE, SPLIT):
         with pytest.raises(RuntimeError, match="norm drifted"):
             simulate_reduced(inst)
+    check_batch_and_gen_raise()
     check_closing_raises(simulate_reduced(OUTER))
+    monkeypatch.setattr(qstate, "_wht_inplace", one_row_drifts)
+    simulate_reduced(ONE)   # a single state: nothing drifts
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        simulate_reduced_batch([ONE, ONE])
 
 
 def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
@@ -387,6 +453,7 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
         for run in (simulate_reduced, simulate_instance):
             with pytest.raises(RuntimeError, match="norm drifted"):
                 run(inst)
+    check_batch_and_gen_raise()
     check_closing_raises(simulate_reduced(OUTER))
 
 
