@@ -1,5 +1,6 @@
 import filecmp
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -146,16 +147,30 @@ def test_generate_dataset_example_spec():
             assert abs(phi) <= NEGATIVE_PHI_MAX
 
 
-def test_phi_bins_count_exact_phi():
-    # Phi = 0 and Phi = 0.5 are bin edges and both occur at this spec; the
-    # bins must file each draw by its exact value, which phi_bruteforce
-    # gives over the same seeded draws.
+def _shift_ulps(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@pytest.mark.parametrize("ulps", [2, -2])
+def test_phi_bins_ignore_ulp_residue(ulps):
+    # Phi = 0 and Phi = 0.5 are bin edges and both occur at this spec. Phi is
+    # exact, so the bins file each draw by its exact value (phi_bruteforce
+    # over the same seeded draws) and carry no rounding residue. A residue
+    # would show: above an edge it keeps the value in its bin, below an edge
+    # it moves the value down one bin.
     spec = DatasetSpec(4, 3, 5, 5, seed=1)
     _, report = generate_dataset(spec)
     rng = np.random.default_rng(spec.seed)
     exact = [phi_bruteforce(sample_random_instance(spec.n, spec.k, rng)) for _ in range(report.tries)]
     assert 0.0 in exact and 0.5 in exact
-    assert report.phi_bins == tuple(np.histogram(exact, bins=20, range=(-1.0, 1.0))[0])
+
+    def bins(phis):
+        return tuple(np.histogram(phis, bins=20, range=(-1.0, 1.0))[0])
+
+    assert report.phi_bins == bins(exact)
+    assert (bins([_shift_ulps(phi, ulps) for phi in exact]) == report.phi_bins) == (ulps > 0)
 
 
 def draw_by_draw(spec):
