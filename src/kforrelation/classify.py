@@ -158,7 +158,7 @@ def _target_index(x_minus: EncodedSample) -> int:
     red = simulate_reduced(decode(x_minus))
     for c in red.components:
         c.close()
-    z = sum(c.full_index(int(np.abs(c.state.amplitudes).argmax())) for c in red.components)
+    z = sum(c.full_index(int(np.abs(c.amps).argmax())) for c in red.components)
     if abs(red.probability(z) - 1.0) > 1e-12 or z == 0:
         raise ValueError("x_minus is not a constructive negative sample")
     return z

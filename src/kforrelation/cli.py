@@ -90,7 +90,8 @@ def _validate_args(parser, args) -> None:
         if args.k is not None and args.k < 1:
             parser.error(f"--k must be >= 1, got {args.k}")
         if args.n is not None and _sweep_too_large(args.n, args.k):
-            parser.error(f"--n {args.n} --k {args.k}: the exhaustive oracle sweep is too large")
+            parser.error(f"--n {args.n} --k {args.k}: the exhaustive oracle sweep is too large (at most 4096 "
+                         f"instances of n*k <= {forrelation.BRUTE_FORCE_MAX_BITS} bits)")
         if args.trials < 0:
             parser.error(f"--trials must be >= 0, got {args.trials}")
 
@@ -145,8 +146,10 @@ def cmd_classify(args) -> int:
 
 def _sweep_too_large(n: int, k: int) -> bool:
     """len(restricted_functions(n)) ** k > 4096, without building the
-    functions; every n has at least 2 of them, so k > 12 alone decides."""
-    return k > 12 or (1 + forrelation.ansatz_parameter_count(n, 1)) ** k > 4096
+    functions (every n has at least 2 of them, so k > 12 alone decides), or
+    n*k past the bits phi_bruteforce sums over."""
+    return (k > 12 or n * k > forrelation.BRUTE_FORCE_MAX_BITS
+            or (1 + forrelation.ansatz_parameter_count(n, 1)) ** k > 4096)
 
 
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):

@@ -36,10 +36,11 @@ simulate_reduced therefore runs each component on its own qubits
 identity layers, and reads every amplitude or probability of the n-qubit
 state off those states; the statevector cap applies to each component, not
 to n or |S|.  It runs each circuit with qstate.run_sign_circuit, whose
-amplitudes are exact scaled values, multiplies the components' entries as
-exact integers and rounds once when an amplitude or probability is read.
-A component's last Hadamard layer stays open: its index 0 reads as an
-exact sum, and only a read of another index closes it.
+float64 rows hold exact scaled values (one per Component), multiplies the
+components' entries as exact integers and rounds once when an amplitude
+or probability is read.  A component's last Hadamard layer stays open:
+its index 0 reads as an exact sum, and only a read of another index
+closes it.
 simulate_reduced_batch does the same for many instances at once: it
 groups the components of all of them by qubit count and collapsed program
 shape (qstate.collapse_layers) and runs each group as the rows of one
@@ -339,35 +340,32 @@ def _qubits(mask: int) -> tuple[int, ...]:
 
 @dataclass
 class Component:
-    """U_C|0...0> on one connected component: its qubits ``support``,
-    relabelled 1..m in ``state``, whose entries are the amplitudes times
-    sqrt(2^``exponent``) once the last Hadamard layer is closed.  While
-    ``scale`` is nonzero that layer is still open (qstate.run_sign_circuit):
-    index 0 reads as scale times the sum of the state, exactly, and the
-    first read of any other index closes the layer in place, once."""
+    """U_C|0...0> on one connected component: its qubits ``support`` (and
+    ``mask``, bit q-1 set for each qubit q of it), relabelled 1..m in
+    ``amps``, a row qstate.run_sign_circuit returned: 2^m float64 entries
+    that are the amplitudes times sqrt(2^``exponent``) once the last
+    Hadamard layer is closed.  While ``scale`` is nonzero that layer is
+    still open: index 0 reads as scale times the sum of the row, exactly,
+    and the first read of any other index closes the layer in place, once."""
 
     support: tuple[int, ...]
-    state: StateVector
+    amps: np.ndarray
     exponent: int
-    scale: float = 0.0
-    mask: int = 0   # bit q-1 set for each qubit q of support; worked out here when not given
-
-    def __post_init__(self):
-        if not self.mask:
-            self.mask = sum(1 << (q - 1) for q in self.support)
+    scale: float
+    mask: int
 
     def close(self) -> None:
         """Apply the open last Hadamard layer, if there is one."""
         if self.scale:
-            close_layer(self.state, self.scale, self.exponent)
+            close_layer(self.amps, self.scale, self.exponent)
             self.scale = 0.0
 
     def entry(self, r: int) -> float:
         """The scaled amplitude of local index r."""
         if self.scale and not r:
-            return float(self.state.amplitudes.sum()) * self.scale
+            return float(self.amps.sum()) * self.scale
         self.close()
-        return float(self.state.amplitudes[r])
+        return float(self.amps[r])
 
     def full_index(self, r: int) -> int:
         """Full basis index of this component's index r, every other bit 0."""
@@ -439,8 +437,8 @@ def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     component's qubit count, not to n or to the support union."""
     comps = []
     for part, support, flips, open_last in _programs(inst):
-        states, e, scale = run_sign_circuit(len(support), [flips], open_last)
-        comps.append(Component(support, states[0], e, scale, part))
+        rows, e, scale = run_sign_circuit(len(support), [flips], open_last)
+        comps.append(Component(support, rows[0], e, scale, part))
     return _reduced_state(inst, comps)
 
 
@@ -467,8 +465,8 @@ def simulate_reduced_batch(insts: Sequence[ForrelationInstance]) -> list[Reduced
     for inst, parts in zip(insts, layout):
         comps = []
         for part, support, group, i in parts:
-            states, e, scale = runs[group]
-            comps.append(Component(support, states[i], e, scale, part))
+            rows, e, scale = runs[group]
+            comps.append(Component(support, rows[i], e, scale, part))
         out.append(_reduced_state(inst, comps))
     return out
 

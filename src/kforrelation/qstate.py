@@ -16,7 +16,7 @@ Conventions (fixed; everything downstream assumes them):
   coincides bit-for-bit with PhaseFlip(targets); angle 0 is a no-op and
   any other angle is rejected.
 * Amplitudes are real: every StateVector holds a float64 array of length
-  2^n, which each gate of the family keeps real.  unitary_of is float64 too.
+  2^n, which each gate keeps real.  unitary_of and runner rows are float64.
 
 A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
 +-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
@@ -28,11 +28,11 @@ left to the caller; every reduced simulation uses it.  collapse_layers
 first drops the identity layers of a circuit, and circuits of the same
 width and collapsed shape run together, as the rows of one block, with one
 +-1 transform, one gather of signs and one per-row norm check per layer.
-The runner fills its first Hadamard layer in as the uniform vector and
-leaves its last one open, for close_layer to apply when an entry other
-than index 0 is read.  The Gate engine (apply_gate, apply_circuit,
-unitary_of) applies any gate of the family and rounds at every layer; it
-is the dense reference.
+The runner hands out plain float64 rows: it fills its first Hadamard
+layer in as the uniform vector and leaves its last one open, for
+close_layer to apply when an entry other than index 0 is read.  The Gate
+engine (StateVector, apply_gate, apply_circuit, unitary_of) applies any
+gate of the family and rounds at every layer; it is the dense reference.
 """
 from __future__ import annotations
 
@@ -127,15 +127,10 @@ def swap(a: int, b: int) -> Gate:
 @dataclass
 class StateVector:
     """2^n float64 amplitudes; any other array raises ValueError.  The Gate
-    engine keeps them at unit norm.  run_sign_circuit returns them scaled by
-    2^(e/2), e in {0, 1}, possibly with the last Hadamard layer still open
-    (see close_layer).  The states one run_sign_circuit call returns for a
-    batch are rows of one shared block: each ``amplitudes`` is a view, so
-    the block lives as long as any of them.
+    engine keeps them at unit norm.
 
     A value type: move it freely between threads, mutate from one writer.
-    Gate application updates ``amplitudes`` in place; writing to a row of a
-    block writes to that row only.
+    Gate application updates ``amplitudes`` in place.
     """
 
     n_qubits: int
@@ -163,7 +158,7 @@ def init_zero(n: int) -> StateVector:
 
 def _check_capacity(n: int) -> None:
     if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
-        raise CapacityError(f"n must be in [1, {MAX_QUBITS}], got {n}")
+        raise CapacityError(f"a statevector may hold 1 to {MAX_QUBITS} qubits, got {n}")
 
 
 def _check_norms(ratios: Sequence[float]) -> None:
@@ -310,13 +305,14 @@ def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
 
 
 def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
-                     open_last: bool) -> tuple[list[StateVector], int, float]:
+                     open_last: bool) -> tuple[list[np.ndarray], int, float]:
     """Run B collapsed circuits on m qubits (collapse_layers), all with the
     same number of applied Hadamard layers and the same open_last, as the
     rows of one (B, 2^m) block.
 
-    Returns (states, e, scale): states[i] is row i of the block, and the
-    circuit's amplitudes are the closed row's entries divided by sqrt(2^e),
+    Returns (rows, e, scale): rows[i], a float64 array of length 2^m, is
+    row i of the block (a view, so the block lives as long as any row), and
+    circuit i's amplitudes are the closed row's entries divided by sqrt(2^e),
     with e = J*m mod 2 for the J Hadamard layers of the circuit, a factor
     left for the caller to apply with one rounding.  When open_last is true
     the last Hadamard layer is left open: a row holds the amplitudes before
@@ -332,17 +328,16 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
     it is filled in as the uniform vector; each later one is one +-1
     transform of the whole block.  Each flip is an exact -1 on the entries
     its mask selects.  After each layer's flips the norm of every row is
-    checked against NORM_TOL, before the states are returned.
+    checked against NORM_TOL, before the rows are returned.
 
-    A single circuit (B = 1) runs on one init_zero vector instead: the
-    block's per-call numpy overhead made a batch of one slower than that.
+    A single circuit (B = 1) runs on one init_zero vector's array instead:
+    the block's per-call numpy overhead made a batch of one slower than that.
     Both loops apply the same exact operations, so they give the same bits.
     """
     layers = len(programs[0])
     norms: list[float] = []   # sum |a|^2 after each layer's flips, over the value it should have
     if len(programs) == 1:
-        state = init_zero(m)
-        amp = state.amplitudes
+        amp = init_zero(m).amplitudes
         for j, masks in enumerate(programs[0]):
             if j:
                 _wht_inplace(amp, m)
@@ -352,16 +347,16 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
             for mask in masks:
                 _flip_inplace(amp, m, mask)
             norms.append(float(amp.dot(amp)) / 2.0 ** ((j + 1) * m % 2))
-        states = [state]
+        rows = [amp]
     else:
-        states = _run_block(m, programs, norms)
+        rows = _run_block(m, programs, norms)
     _check_norms(norms)
     if not open_last:
-        return states, layers * m % 2, 0.0
-    return states, (layers + 1) * m % 2, _layer_scale(layers, m)
+        return rows, layers * m % 2, 0.0
+    return rows, (layers + 1) * m % 2, _layer_scale(layers, m)
 
 
-def _run_block(m: int, programs: Sequence[Sequence[Sequence[int]]], norms: list[float]) -> list[StateVector]:
+def _run_block(m: int, programs: Sequence[Sequence[Sequence[int]]], norms: list[float]) -> list[np.ndarray]:
     """run_sign_circuit's layer loop on the rows of one block: one fill,
     +-1 transform, rescale and per-row norm per layer."""
     _check_capacity(m)
@@ -375,7 +370,7 @@ def _run_block(m: int, programs: Sequence[Sequence[Sequence[int]]], norms: list[
             block.fill(_layer_scale(0, m))
         _flip_rows(block, m, [p[j] for p in programs])
         norms.extend((np.einsum("ij,ij->i", block, block) / 2.0 ** ((j + 1) * m % 2)).tolist())
-    return [StateVector(m, row) for row in block]
+    return list(block)
 
 
 def _flip_rows(block: np.ndarray, m: int, flips: Sequence[Sequence[int]]) -> None:
@@ -407,12 +402,11 @@ def _layer_scale(layers: int, m: int) -> float:
     return 2.0 ** ((layers * m) // 2 - ((layers + 1) * m) // 2)
 
 
-def close_layer(state: StateVector, scale: float, e: int) -> None:
-    """Apply the Hadamard layer run_sign_circuit left open, in place: the
-    +-1 transform, then the exact rescale ``scale``.  The result's norm is
+def close_layer(amp: np.ndarray, scale: float, e: int) -> None:
+    """Apply the Hadamard layer run_sign_circuit left open to a row, in
+    place: the +-1 transform, then the exact rescale ``scale``.  The norm is
     checked against 2^e, like every layer applied by run_sign_circuit."""
-    amp = state.amplitudes
-    _wht_inplace(amp, state.n_qubits)
+    _wht_inplace(amp, amp.size.bit_length() - 1)
     amp *= scale
     _check_norms([float(amp.dot(amp)) / 2.0 ** e])
 

@@ -270,7 +270,7 @@ def test_over_cap_draw_past_the_stop_point_does_not_surface(monkeypatch):
     assert want[1].tries == 5 and len(chunks) == 1
     widest = [max(map(len, components(inst))) for inst in chunks[0]]
     assert max(widest[:5]) <= 5 < widest[5]
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=rf"1 to 5 qubits, got {widest[5]}$"):
         phi_circuits(chunks[0])
     bigger = DatasetSpec(8, 3, 2, 3, seed=40)   # one more negative: the loop reaches an over-cap draw
     with pytest.raises(CapacityError):

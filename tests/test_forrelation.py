@@ -188,7 +188,7 @@ def test_instance_states_are_float64():
     rng = np.random.default_rng(23)
     for k in (2, 3, 5):
         inst = random_instance(6, k, rng)
-        assert all(c.state.amplitudes.dtype == np.float64 for c in simulate_reduced(inst).components)
+        assert all(c.amps.dtype == np.float64 for c in simulate_reduced(inst).components)
         assert simulate_instance(inst).amplitudes.dtype == np.float64
         assert simulate_fixed_ansatz(encode(inst)).amplitudes.dtype == np.float64
 

@@ -39,7 +39,7 @@ from kforrelation.forrelation import (
     simulate_reduced,
     simulate_reduced_batch,
 )
-from kforrelation.qstate import CapacityError, StateVector, init_zero, phase_flip
+from kforrelation.qstate import CapacityError, init_zero, phase_flip
 
 BRUTE_FORCE_BITS = 24   # k*n up to which Phi is also summed exhaustively (about 1 s at the cap)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -144,14 +144,30 @@ def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
     # ONE's component and SPLIT's two are of three different widths; the two
     # ONEs share a block, and closing one row leaves the other as it was.
     a, b, split, wide, wide_too = simulate_reduced_batch([ONE, ONE, SPLIT, WIDE, WIDE])
-    rows = [red.components[0].state.amplitudes for red in (a, b)]
+    rows = [red.components[0].amps for red in (a, b)]
     assert rows[0].base is rows[1].base is not None
-    assert wide.components[0].state.n_qubits > qstate.SIGN_TABLE_QUBITS
-    assert wide.components[0].state.amplitudes.base is wide_too.components[0].state.amplitudes.base
-    assert split.components[0].state.amplitudes.base is not rows[0].base
+    assert len(wide.components[0].support) > qstate.SIGN_TABLE_QUBITS
+    assert wide.components[0].amps.base is wide_too.components[0].amps.base
+    assert split.components[0].amps.base is not rows[0].base
     a.amplitude(1)
     assert not a.components[0].scale and b.components[0].scale
     assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
+
+
+@pytest.mark.parametrize("m", [3, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
+@pytest.mark.parametrize("open_last", [True, False])
+def test_runner_row_is_the_same_alone_and_in_a_block(m, open_last):
+    # One collapsed program run alone and as row 1 of a block of three (the
+    # other rows flip other masks): the same bits, the same e and scale, and
+    # every row a plain float64 array of 2^m entries.
+    rng = np.random.default_rng(m)
+    programs = [[[int(mask) for mask in rng.integers(1, 1 << m, size=2)] for _ in range(3)] for _ in range(3)]
+    alone, e, scale = qstate.run_sign_circuit(m, programs[1:2], open_last)
+    block, e_block, scale_block = qstate.run_sign_circuit(m, programs, open_last)
+    assert alone[0].tobytes() == block[1].tobytes()
+    assert (e, scale) == (e_block, scale_block) and bool(scale) == open_last
+    for row in alone + block:
+        assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (1 << m,)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -486,9 +502,9 @@ def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free
     # from the subnormal range, where ldexp would round a second time.  The
     # last component's layer is open: its index 0 reads as (a + a) / 2 = a.
     *closed, last = entries
-    comps = tuple(Component((q,), StateVector(1, np.array([a, 0.0])), q % 2) for q, a in enumerate(closed, 1))
+    comps = tuple(Component((q,), np.array([a, 0.0]), q % 2, 0.0, 1 << (q - 1)) for q, a in enumerate(closed, 1))
     q = len(entries)
-    comps += (Component((q,), StateVector(1, np.array([last, last])), q % 2, 0.5),)
+    comps += (Component((q,), np.array([last, last]), q % 2, 0.5, 1 << (q - 1)),)
     red = ReducedState(len(entries) + free_exponent, comps, True, free_exponent)
     exact = math.prod(map(Fraction, entries))
     e = free_exponent + sum(c.exponent for c in comps)
