@@ -91,7 +91,8 @@ def _validate_args(parser, args) -> None:
             parser.error(f"--k must be >= 1, got {args.k}")
         if args.n is not None and _sweep_too_large(args.n, args.k):
             parser.error(f"--n {args.n} --k {args.k}: the exhaustive oracle sweep is too large (at most 4096 "
-                         f"instances of n*k <= {forrelation.BRUTE_FORCE_MAX_BITS} bits)")
+                         f"instances of n*k <= {forrelation.BRUTE_FORCE_MAX_BITS} bits, and at most 2^27 "
+                         f"summands in all, instances times 2^(n*k))")
         if args.trials < 0:
             parser.error(f"--trials must be >= 0, got {args.trials}")
 
@@ -147,9 +148,12 @@ def cmd_classify(args) -> int:
 def _sweep_too_large(n: int, k: int) -> bool:
     """len(restricted_functions(n)) ** k > 4096, without building the
     functions (every n has at least 2 of them, so k > 12 alone decides), or
-    n*k past the bits phi_bruteforce sums over."""
-    return (k > 12 or n * k > forrelation.BRUTE_FORCE_MAX_BITS
-            or (1 + forrelation.ansatz_parameter_count(n, 1)) ** k > 4096)
+    n*k past the bits phi_bruteforce sums over, or more than 2^27 summands
+    in all: phi_bruteforce sums 2^(n*k) of them per instance."""
+    if k > 12 or n * k > forrelation.BRUTE_FORCE_MAX_BITS:
+        return True
+    instances = (1 + forrelation.ansatz_parameter_count(n, 1)) ** k
+    return instances > 4096 or instances << (n * k) > 1 << 27
 
 
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):

@@ -20,7 +20,9 @@ Conventions (fixed; everything downstream assumes them):
 
 A Hadamard layer is a blocked Walsh-Hadamard transform: one matmul with a
 +-1 Sylvester matrix per block of up to six qubits, then one 2^(-n/2)
-scale.
+scale.  Up to six qubits, the width of nearly every connected component,
+a Hadamard layer is one product with the Sylvester block and a phase flip
+one product with a row of the sign table.
 
 Two ways to run a circuit share that kernel.  run_sign_circuit runs
 forrelation circuits of sign masks with exact arithmetic and one rounding
@@ -165,7 +167,7 @@ def _check_norms(ratios: Sequence[float]) -> None:
     """Each ratio is a state's sum |a|^2 over the value it should have."""
     drifted = [v for v in ratios if not abs(v - 1.0) <= NORM_TOL]  # NaN drifts too
     if drifted:
-        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {drifted[0]!r} times its exact value")
+        raise RuntimeError(f"statevector norm drifted: sum |a|^2 is {float(drifted[0])!r} times its exact value")
 
 
 def _sylvester(qubits: int) -> np.ndarray:
@@ -183,7 +185,13 @@ _SYLVESTER = _sylvester(WHT_BLOCK_QUBITS)
 
 def _wht_inplace(amp: np.ndarray, n: int) -> None:
     """The unnormalised Walsh-Hadamard transform: amp becomes S amp, S the
-    +-1 matrix (-1)^popcount(x & y) of order 2^n."""
+    +-1 matrix (-1)^popcount(x & y) of order 2^n, applied to each run of
+    2^n entries.  Rows of at most WHT_BLOCK_QUBITS qubits that fit in one
+    slab take one product with the Sylvester block."""
+    if n <= WHT_BLOCK_QUBITS and amp.size <= WHT_SLAB:
+        view = amp.reshape(-1, 1 << n)
+        view[...] = view @ _SYLVESTER[: 1 << n, : 1 << n]
+        return
     # Qubits low+1..low+c form axis 1 of amp.reshape(-1, 2^c, 2^low); H on
     # all of them is the +-1 matrix applied along that axis.  Slabs cap the
     # matmul temporary at WHT_SLAB amplitudes.
@@ -214,7 +222,14 @@ def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
 
 
 def _flip_inplace(amp: np.ndarray, n: int, mask: int) -> None:
-    """Exact -1 on every basis state x with x & mask == mask."""
+    """Exact -1 on every basis state x with x & mask == mask, by one product
+    with a sign-table row up to SIGN_TABLE_QUBITS qubits.  Mask 0 (the
+    constant function's placeholder) is the identity at every width."""
+    if n <= SIGN_TABLE_QUBITS:
+        amp *= _sign_table(n)[mask]
+        return
+    if not mask:
+        return
     sel: list = [slice(None)] * n  # axis n-q of amp.reshape([2]*n) is qubit q
     while mask:  # one pass per set bit: bit q-1 is qubit q
         low = mask & -mask
@@ -338,15 +353,17 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
     norms: list[float] = []   # sum |a|^2 after each layer's flips, over the value it should have
     if len(programs) == 1:
         amp = init_zero(m).amplitudes
+        # Layer j's rescale and its norm's exact value depend on j's parity alone.
+        scales, wants = (_layer_scale(0, m), _layer_scale(1, m)), (2.0 ** (m % 2), 1.0)
         for j, masks in enumerate(programs[0]):
             if j:
                 _wht_inplace(amp, m)
-                amp *= _layer_scale(j, m)
+                amp *= scales[j & 1]
             else:
-                amp.fill(_layer_scale(0, m))
+                amp.fill(scales[0])
             for mask in masks:
                 _flip_inplace(amp, m, mask)
-            norms.append(float(amp.dot(amp)) / 2.0 ** ((j + 1) * m % 2))
+            norms.append(amp.dot(amp) / wants[j & 1])
         rows = [amp]
     else:
         rows = _run_block(m, programs, norms)
@@ -387,11 +404,12 @@ def _flip_rows(block: np.ndarray, m: int, flips: Sequence[Sequence[int]]) -> Non
 
 @lru_cache(maxsize=None)
 def _sign_table(m: int) -> np.ndarray:
-    """Row `mask` holds the +-1 signs of the flip on mask, row 0 all +1 (the
-    identity): one gather per flip applies a different mask to each row."""
-    table = np.ones((1 << m, 1 << m))
-    for mask in range(1, 1 << m):
-        _flip_inplace(table[mask], m, mask)
+    """Row `mask` holds the +-1 signs of the flip on mask, -1 where x & mask
+    == mask, row 0 all +1 (the identity): one gather per flip applies a
+    different mask to each row."""
+    x = np.arange(1 << m)
+    table = np.where((x & x[:, None]) == x[:, None], -1.0, 1.0)
+    table[0] = 1.0
     table.flags.writeable = False   # shared by every caller
     return table
 

@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from kforrelation import cli, forrelation, qstate
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -199,6 +203,28 @@ def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
         cli.main(argv)
     assert err.value.code == 64
     assert flags[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_verify_sweep_past_the_summand_bound_is_a_usage_error(n, capsys, monkeypatch):
+    # n*k fits brute force and the instances number under 4096, but their
+    # 2^(n*k) summands each are far past 2^27 in all: refused before any check runs.
+    def never(**_):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "DEFAULT_CHECKS", (("never", never),))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--n", str(n), "--k", "1"])
+    assert err.value.code == 64
+    assert "2^27 summands" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kforrelation", "verify", "--n", "2", "--k", "3", "--trials", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS oracle_equivalence")
 
 
 def test_sweep_size_check_matches_the_function_count():

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kforrelation import qstate
 from kforrelation.qstate import (
+    SIGN_TABLE_QUBITS,
     WHT_SLAB,
     CapacityError,
     Gate,
@@ -210,6 +212,47 @@ def test_hadamard_temporary_stays_within_one_slab():
         tracemalloc.stop()
     assert peak <= 2 * WHT_SLAB * state.amplitudes.itemsize
     assert peak < state.amplitudes.nbytes // 4
+
+
+# ---------------------------------------------------------------------------
+# Phase flips against the explicit rule: -1 on x iff x & mask == mask.
+
+
+def _flip_signs(n, mask):
+    x = np.arange(1 << n)
+    return np.where((x & mask) == mask, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("m", range(1, SIGN_TABLE_QUBITS + 1))
+def test_sign_table_rows_are_the_explicit_flips(m):
+    table = qstate._sign_table(m)
+    assert table.shape == (1 << m, 1 << m) and table.dtype == np.float64
+    assert np.array_equal(table[0], np.ones(1 << m))   # mask 0: the identity
+    for mask in range(1, 1 << m):
+        assert np.array_equal(table[mask], _flip_signs(m, mask))
+    with pytest.raises(ValueError):
+        table[1, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [3, SIGN_TABLE_QUBITS + 2])
+def test_flip_on_mask_zero_is_the_identity_at_every_width(n):
+    # Below the table width the flip reads sign-table row 0; above it, the
+    # per-bit path must agree and leave the state alone too.
+    amp = _random_state(n, n).amplitudes
+    before = amp.copy()
+    qstate._flip_inplace(amp, n, 0)
+    assert amp.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, SIGN_TABLE_QUBITS + 3))
+def test_phase_flip_matches_the_explicit_rule(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        targets = sorted({int(q) for q in rng.integers(1, n + 1, size=3)})
+        state = _random_state(n, len(targets))
+        expected = state.amplitudes * _flip_signs(n, sum(1 << (q - 1) for q in targets))
+        apply_gate(state, phase_flip(*targets))
+        assert state.amplitudes.tobytes() == expected.tobytes()
 
 
 def test_phase_flip_involution():

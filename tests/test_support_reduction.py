@@ -154,12 +154,13 @@ def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
     assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
 
 
-@pytest.mark.parametrize("m", [3, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
+@pytest.mark.parametrize("m", [1, 3, 5, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
 @pytest.mark.parametrize("open_last", [True, False])
 def test_runner_row_is_the_same_alone_and_in_a_block(m, open_last):
     # One collapsed program run alone and as row 1 of a block of three (the
     # other rows flip other masks): the same bits, the same e and scale, and
-    # every row a plain float64 array of 2^m entries.
+    # every row a plain float64 array of 2^m entries.  At odd m the layer
+    # rescale alternates between 2^-floor(m/2) and 2^-ceil(m/2).
     rng = np.random.default_rng(m)
     programs = [[[int(mask) for mask in rng.integers(1, 1 << m, size=2)] for _ in range(3)] for _ in range(3)]
     alone, e, scale = qstate.run_sign_circuit(m, programs[1:2], open_last)
@@ -395,13 +396,33 @@ def test_disjoint_support_above_the_state_cap_runs_per_component():
     assert phi_circuit(inst) == 0.75 ** 5 == 0.2373046875
 
 
-def check_closing_raises(outer_red):
+class CountedKernel:
+    """A stand-in for qstate._wht_inplace that records the rows of 2^n
+    entries it was handed on each call, so a test that patches the kernel
+    can tell that the path it checks ran through it."""
+
+    def __init__(self, fake):
+        self.fake, self.rows = fake, []
+
+    def __call__(self, amp, n):
+        self.rows.append(amp.size >> n)
+        self.fake(amp, n)
+
+
+def kernel_rows(kernel, run, *args):
+    """The rows of each kernel call made while run(*args) fails the norm check."""
+    start = len(kernel.rows)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        run(*args)
+    return kernel.rows[start:]
+
+
+def check_closing_raises(outer_red, kernel):
     # Index 0 never closes the open layer; a read that sets qubit 4 touches
     # only the closed {4, 5, 6}; one that sets qubit 1 closes {1, 2}.
     outer_red.amplitude(0)
     outer_red.amplitude(1 << 3)
-    with pytest.raises(RuntimeError, match="norm drifted"):
-        outer_red.amplitude(1)
+    assert kernel_rows(kernel, outer_red.amplitude, 1) == [1]   # close_layer on one row
 
 
 def test_a_read_closes_only_the_components_whose_qubits_it_sets():
@@ -418,12 +439,10 @@ BATCH = [ONE, SPLIT, ONE, SPLIT]
 GEN = DatasetSpec(6, 7, 2, 2, seed=3)
 
 
-def check_batch_and_gen_raise():
+def check_batch_and_gen_raise(kernel):
     for run in (simulate_reduced_batch, phi_circuits):
-        with pytest.raises(RuntimeError, match="norm drifted"):
-            run(BATCH)
-    with pytest.raises(RuntimeError, match="norm drifted"):
-        generate_dataset(GEN)
+        assert max(kernel_rows(kernel, run, BATCH)) > 1   # a block of rows
+    assert kernel_rows(kernel, generate_dataset, GEN)
 
 
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
@@ -447,16 +466,17 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
         simulate_reduced(inst)
     simulate_reduced_batch(BATCH)
     generate_dataset(GEN)
-    monkeypatch.setattr(qstate, "_wht_inplace", drifting)
+    kernel = CountedKernel(drifting)
+    monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
-        with pytest.raises(RuntimeError, match="norm drifted"):
-            simulate_reduced(inst)
-    check_batch_and_gen_raise()
-    check_closing_raises(simulate_reduced(OUTER))
-    monkeypatch.setattr(qstate, "_wht_inplace", one_row_drifts)
+        assert set(kernel_rows(kernel, simulate_reduced, inst)) == {1}   # lone rows
+    check_batch_and_gen_raise(kernel)
+    check_closing_raises(simulate_reduced(OUTER), kernel)
+    kernel = CountedKernel(one_row_drifts)
+    monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     simulate_reduced(ONE)   # a single state: nothing drifts
-    with pytest.raises(RuntimeError, match="norm drifted"):
-        simulate_reduced_batch([ONE, ONE])
+    assert set(kernel.rows) == {1}
+    assert set(kernel_rows(kernel, simulate_reduced_batch, [ONE, ONE])) == {2}
 
 
 def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
@@ -464,13 +484,13 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
     def poisoned(amp, n):
         amp[:] = np.nan
 
-    monkeypatch.setattr(qstate, "_wht_inplace", poisoned)
+    kernel = CountedKernel(poisoned)
+    monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
         for run in (simulate_reduced, simulate_instance):
-            with pytest.raises(RuntimeError, match="norm drifted"):
-                run(inst)
-    check_batch_and_gen_raise()
-    check_closing_raises(simulate_reduced(OUTER))
+            assert set(kernel_rows(kernel, run, inst)) == {1}
+    check_batch_and_gen_raise(kernel)
+    check_closing_raises(simulate_reduced(OUTER), kernel)
 
 
 def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
