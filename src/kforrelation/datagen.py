@@ -66,7 +66,7 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     sample: EncodedSample
     label: int
@@ -84,7 +84,7 @@ class LabeledSample:
             raise ValueError(f"negative label requires |phi| <= {NEGATIVE_PHI_MAX}, got {self.phi}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetSpec:
     """Generation spec; its fields, in order, are the dataset header."""
 

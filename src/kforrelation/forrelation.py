@@ -13,10 +13,11 @@ and lies in [-1, 1].  This module provides:
 * restricted_functions - the allowed function family in its fixed order,
   and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
-* phi_circuit     - exact statevector simulation of U_F, one connected
-  component of the function supports at a time (simulate_reduced), equal
-  to phi_bruteforce bit for bit; phi_circuits gives the same bits for a
-  list of instances (simulate_reduced_batch),
+* phi_circuit     - exact statevector simulation of U_F, as one dense row
+  of all n qubits when that is exact (n <= 6, k*n <= 53), else one
+  connected component of the function supports at a time
+  (simulate_reduced), equal to phi_bruteforce bit for bit; phi_circuits
+  gives the same bits for a list of instances, one block per (n, k) group,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -46,13 +47,25 @@ groups the components of all of them by qubit count and collapsed program
 shape (qstate.collapse_layers) and runs each group as the rows of one
 block, then reads every value through the same Component and ReducedState
 code, so the one rounding happens in one place.
-phi_bruteforce, simulate_instance and the fixed ansatz stay dense: they are
-the independent references the reduction is checked against.
+
+Dense rows for Phi.  Up to SIGN_TABLE_QUBITS (6) qubits a row of all n
+qubits has at most 64 entries, so the component split saves no arithmetic
+and costs more per instance than the row itself.  There phi_circuit and
+phi_circuits run every function as one flip of the whole row, with no
+split and no collapse_layers (mask 0, a constant, is the identity row of
+the sign table), so all instances of one (n, k) share one shape: k flips
+and k+1 layers, run as the rows of one block.  Index 0 of the open last
+layer is the row's sum times its scale, exact while k*n <= 53 (see
+_runs_dense), and it is rounded once, as ReducedState.amplitude rounds.
+
+phi_bruteforce, simulate_instance and the fixed ansatz take neither
+shortcut: they are the independent references both are checked against.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -60,6 +73,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .qstate import (
+    SIGN_TABLE_QUBITS,
     CapacityError,
     Gate,
     StateVector,
@@ -84,7 +98,7 @@ class MalformedSampleError(ValueError):
     """Encoded sample violates the <=3-ones-per-block restriction."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanFunctionSpec:
     """One restricted Boolean function.
 
@@ -144,7 +158,7 @@ def random_instance(n: int, k: int, rng: np.random.Generator) -> ForrelationInst
     return ForrelationInstance(n, tuple(funcs[rng.integers(len(funcs))] for _ in range(k)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForrelationInstance:
     """Ordered tuple of k restricted functions over n input bits."""
 
@@ -176,7 +190,7 @@ def instance_of(n: int, *bit_sets) -> ForrelationInstance:
     return ForrelationInstance(n, tuple(BooleanFunctionSpec(frozenset(b)) for b in bit_sets))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedSample:
     """Multi-hot encoding: k blocks of n bits, block i the indicator of
     function i's bit set.  The classifier-facing data point."""
@@ -375,7 +389,8 @@ class Component:
         return z
 
 
-_SQRT2_NUM, _SQRT2_DEN = math.sqrt(2.0).as_integer_ratio()
+_SQRT2 = math.sqrt(2.0)
+_SQRT2_NUM, _SQRT2_DEN = _SQRT2.as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -496,15 +511,58 @@ def simulate_instance(inst: ForrelationInstance) -> StateVector:
 
 
 def phi_circuit(inst: ForrelationInstance) -> float:
-    """Phi as the |0...0> amplitude of the instance circuit, simulated one
-    connected component of the supports at a time (simulate_reduced)."""
+    """Phi as the |0...0> amplitude of the instance circuit: from one dense
+    row when _runs_dense(n, k), else simulated one connected component of
+    the supports at a time (simulate_reduced)."""
+    if _runs_dense(inst.n, inst.k):
+        return _dense_phis(inst.n, [inst])[0]
     return _checked_phi(simulate_reduced(inst).amplitude(0))
 
 
 def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
-    """[phi_circuit(x) for x in insts], bit for bit, from one
-    simulate_reduced_batch.  Any instance's error raises for the whole list."""
-    return [_checked_phi(red.amplitude(0)) for red in simulate_reduced_batch(insts)]
+    """[phi_circuit(x) for x in insts], bit for bit.  The instances are
+    grouped by (n, k): each group that _runs_dense runs as one block of
+    dense rows, and all the others go through one simulate_reduced_batch.
+    Any instance's error raises for the whole list."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, inst in enumerate(insts):
+        groups.setdefault((inst.n, inst.k), []).append(i)
+    out = [0.0] * len(insts)
+    rest = []
+    for (n, k), idx in groups.items():
+        if _runs_dense(n, k):
+            for i, phi in zip(idx, _dense_phis(n, [insts[i] for i in idx])):
+                out[i] = phi
+        else:
+            rest += idx
+    for i, red in zip(rest, simulate_reduced_batch([insts[i] for i in rest])):
+        out[i] = _checked_phi(red.amplitude(0))
+    return out
+
+
+def _runs_dense(n: int, k: int) -> bool:
+    """Whether Phi of an (n, k) instance is read off one row of all n
+    qubits: n is within the sign table, and k*n fits float64's significand.
+    After the uniform fill every entry is an integer times a power of two,
+    and each of the k-1 later +-1 transforms multiplies the largest integer
+    by at most 2^n, so the index-0 sum and each of its partial sums is a
+    power of two times an integer of at most 2^(k*n): exact while k*n <= 53."""
+    return n <= SIGN_TABLE_QUBITS and k * n <= sys.float_info.mant_dig
+
+
+def _dense_phis(n: int, insts: Sequence[ForrelationInstance]) -> list[float]:
+    """Phi of each instance, all of n qubits and one k, from one
+    run_sign_circuit call on all n qubits with no component split and no
+    collapse_layers: each function is one flip (mask 0, a constant, is the
+    sign table's identity row), so every row has the same k flips and k+1
+    layers.  Index 0 of each open row is its sum times scale, divided by
+    fl(sqrt(2)) when e is odd: one rounding, the bits ReducedState.amplitude
+    gives."""
+    rows, e, scale = run_sign_circuit(n, [[[f.mask] for f in inst.functions] for inst in insts], True)
+    phis = np.sum(rows, axis=1) * scale
+    if e:
+        phis /= _SQRT2
+    return [_checked_phi(phi) for phi in phis.tolist()]
 
 
 # ---------------------------------------------------------------------------

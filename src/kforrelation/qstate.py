@@ -29,7 +29,10 @@ forrelation circuits of sign masks with exact arithmetic and one rounding
 left to the caller; every reduced simulation uses it.  collapse_layers
 first drops the identity layers of a circuit, and circuits of the same
 width and collapsed shape run together, as the rows of one block, with one
-+-1 transform, one gather of signs and one per-row norm check per layer.
++-1 transform, one gather of signs and one per-row norm check per layer
+(a circuit may also keep its identity layers, one flip on mask 0 each, so
+that all circuits of one length share a shape; forrelation does so for
+Phi at six qubits or fewer).
 The runner hands out plain float64 rows: it fills its first Hadamard
 layer in as the uniform vector and leaves its last one open, for
 close_layer to apply when an entry other than index 0 is read.  The Gate
@@ -321,9 +324,11 @@ def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
 
 def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
                      open_last: bool) -> tuple[list[np.ndarray], int, float]:
-    """Run B collapsed circuits on m qubits (collapse_layers), all with the
-    same number of applied Hadamard layers and the same open_last, as the
-    rows of one (B, 2^m) block.
+    """Run B circuits on m qubits, all with the same number of applied
+    Hadamard layers and the same open_last, as the rows of one (B, 2^m)
+    block.  A circuit is the masks flipped after each applied layer: as
+    collapse_layers gives them, or one mask per layer with 0 as the
+    identity.
 
     Returns (rows, e, scale): rows[i], a float64 array of length 2^m, is
     row i of the block (a view, so the block lives as long as any row), and

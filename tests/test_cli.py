@@ -175,6 +175,25 @@ def test_verify_scoped_oracle_sweep(capsys):
     assert any(l.startswith("PASS oracle_equivalence") for l in stdout.splitlines())
 
 
+def test_verify_oracle_sweep_checks_the_dense_rows(monkeypatch):
+    # Each exhaustive sweep, (2, 3) and (3, 3), is one group of phi_circuits:
+    # all of its instances run as rows of one block of all n qubits, so the
+    # oracle checks the dense path.  The random draws with n <= 4 join the
+    # block of their (n, k).
+    blocks = []
+    real = forrelation.run_sign_circuit
+
+    def spy(m, programs, open_last):
+        blocks.append((m, len(programs)))
+        return real(m, programs, open_last)
+
+    monkeypatch.setattr(forrelation, "run_sign_circuit", spy)
+    assert cli.check_oracle_equivalence(seed=3) == (True, 0.0)
+    sweep_rows = {m: len(forrelation.restricted_functions(m)) ** 3 for m in (2, 3)}
+    for m, rows in sweep_rows.items():
+        assert max(b for w, b in blocks if w == m) >= rows
+
+
 @pytest.mark.parametrize("half", [["--n", "5"], ["--k", "3"]])
 def test_verify_half_given_scope_is_usage_error(half, capsys):
     with pytest.raises(SystemExit) as err:

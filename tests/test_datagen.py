@@ -1,6 +1,8 @@
+import copy
 import filecmp
 import itertools
 import math
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -345,6 +347,27 @@ def test_write_read_roundtrip(tmp_path):
     spec2, samples2 = read_dataset(str(path))
     assert spec2 == spec
     assert samples2 == samples
+
+
+def test_bulk_value_types_are_slotted_and_keep_their_value_semantics(tmp_path):
+    # No per-object __dict__; equality, hashing, asdict and the JSONL round
+    # trip are those of the plain frozen dataclasses.
+    spec = DatasetSpec(n=4, k=3, count_pos=2, count_neg=2, seed=5)
+    samples, _ = generate_dataset(spec)
+    inst = decode(samples[0].sample)
+    values = [spec, samples[0], samples[0].sample, inst, inst.functions[0]]
+    assert [type(v).__name__ for v in values] == [
+        "DatasetSpec", "LabeledSample", "EncodedSample", "ForrelationInstance", "BooleanFunctionSpec"]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        twin = copy.deepcopy(value)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert asdict(spec) == {"n": 4, "k": 3, "count_pos": 2, "count_neg": 2, "seed": 5, "max_rejection_tries": 10000}
+    assert asdict(inst.functions[0]) == {"bits": inst.functions[0].bits, "mask": inst.functions[0].mask}
+    assert decode(encode(inst)) == inst and inst.functions[0].mask == sum(1 << (b - 1) for b in inst.functions[0].bits)
+    path = tmp_path / "d.jsonl"
+    write_dataset(spec, samples, str(path))
+    assert read_dataset(str(path)) == (spec, samples)
 
 
 def test_write_determinism(tmp_path):

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kforrelation import classify, qstate
+from kforrelation import classify, forrelation, qstate
 from kforrelation.classify import DualSolution, kernel, negative_target_index, qsvm_classify, vqc_probability
-from kforrelation.datagen import DatasetSpec, generate_dataset, make_negative_sample, make_positive_sample
+from kforrelation.datagen import CHUNK_MIN, DatasetSpec, generate_dataset, make_negative_sample, make_positive_sample
 from kforrelation.forrelation import (
     CONSTANT,
     Component,
@@ -152,6 +152,48 @@ def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
     a.amplitude(1)
     assert not a.components[0].scale and b.components[0].scale
     assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
+
+
+def reduced_batch_spy(monkeypatch):
+    """The instances handed to each simulate_reduced_batch call, and to
+    simulate_reduced, while the patch is on."""
+    seen, lone = [], []
+    batch, single = forrelation.simulate_reduced_batch, forrelation.simulate_reduced
+    monkeypatch.setattr(forrelation, "simulate_reduced_batch", lambda insts: seen.append(list(insts)) or batch(insts))
+    monkeypatch.setattr(forrelation, "simulate_reduced", lambda inst: lone.append(inst) or single(inst))
+    return seen, lone
+
+
+def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch):
+    # Several (n, k) in one list, some wider than the sign table and some
+    # past k*n = 53: every path gives the same bits, and only the groups
+    # that cannot run as dense rows reach the component batch.
+    rng = np.random.default_rng(17)
+    shapes = [(6, 7), (3, 5), (8, 2), (6, 9), (4, 3), (1, 5), (6, 7), (10, 2), (5, 10), (3, 18), (4, 3), (2, 10)]
+    insts = [random_instance(n, k, rng) for n, k in shapes for _ in range(3)]
+    seen, _ = reduced_batch_spy(monkeypatch)
+    phis = phi_circuits(insts)
+    assert sum(seen, []) == [inst for inst in insts if inst.n > qstate.SIGN_TABLE_QUBITS or inst.n * inst.k > 53]
+    assert phis == [phi_circuit(inst) for inst in insts] == [simulate_reduced(inst).amplitude(0) for inst in insts]
+    for inst, phi in zip(insts, phis):
+        if inst.n * inst.k <= BRUTE_FORCE_BITS:
+            assert phi == phi_bruteforce(inst)
+
+
+def test_dense_rows_run_up_to_k_n_53_and_fall_back_past_it(monkeypatch):
+    # (6, 8) is k*n = 48: one block of 64-entry rows, and phi_circuit a lone
+    # dense row.  (6, 9) is k*n = 54, past float64's significand: the
+    # component path, in a batch and alone.
+    rng = np.random.default_rng(5)
+    seen, lone = reduced_batch_spy(monkeypatch)
+    for k, dense in ((8, True), (9, False)):
+        insts = [random_instance(6, k, rng) for _ in range(4)]
+        seen.clear()
+        lone.clear()
+        phis = phi_circuits(insts)
+        assert sum(seen, []) == ([] if dense else insts)
+        assert [phi_circuit(inst) for inst in insts] == phis
+        assert lone == ([] if dense else insts)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
@@ -397,24 +439,28 @@ def test_disjoint_support_above_the_state_cap_runs_per_component():
 
 
 class CountedKernel:
-    """A stand-in for qstate._wht_inplace that records the rows of 2^n
-    entries it was handed on each call, so a test that patches the kernel
-    can tell that the path it checks ran through it."""
+    """A stand-in for qstate._wht_inplace that records the rows and the
+    qubits of each call, (rows of 2^n entries, n), so a test that patches
+    the kernel can tell that the path it checks ran through it."""
 
     def __init__(self, fake):
-        self.fake, self.rows = fake, []
+        self.fake, self.calls = fake, []
 
     def __call__(self, amp, n):
-        self.rows.append(amp.size >> n)
+        self.calls.append((amp.size >> n, n))
         self.fake(amp, n)
 
 
-def kernel_rows(kernel, run, *args):
-    """The rows of each kernel call made while run(*args) fails the norm check."""
-    start = len(kernel.rows)
+def kernel_calls(kernel, run, *args):
+    """The (rows, qubits) of each kernel call made while run(*args) fails the norm check."""
+    start = len(kernel.calls)
     with pytest.raises(RuntimeError, match="norm drifted"):
         run(*args)
-    return kernel.rows[start:]
+    return kernel.calls[start:]
+
+
+def kernel_rows(kernel, run, *args):
+    return [rows for rows, _ in kernel_calls(kernel, run, *args)]
 
 
 def check_closing_raises(outer_red, kernel):
@@ -442,7 +488,10 @@ GEN = DatasetSpec(6, 7, 2, 2, seed=3)
 def check_batch_and_gen_raise(kernel):
     for run in (simulate_reduced_batch, phi_circuits):
         assert max(kernel_rows(kernel, run, BATCH)) > 1   # a block of rows
-    assert kernel_rows(kernel, generate_dataset, GEN)
+    # Dense rows of all 6 qubits: SPLIT twice, not its 2- and 3-qubit
+    # components, and the first chunk of gen's draws as one block.
+    assert set(kernel_calls(kernel, phi_circuits, [SPLIT, SPLIT])) == {(2, 6)}
+    assert kernel_calls(kernel, generate_dataset, GEN)[0] == (CHUNK_MIN, 6)
 
 
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
@@ -475,7 +524,7 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
     kernel = CountedKernel(one_row_drifts)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     simulate_reduced(ONE)   # a single state: nothing drifts
-    assert set(kernel.rows) == {1}
+    assert {rows for rows, _ in kernel.calls} == {1}
     assert set(kernel_rows(kernel, simulate_reduced_batch, [ONE, ONE])) == {2}
 
 
