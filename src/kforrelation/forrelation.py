@@ -95,7 +95,7 @@ _INV_SQRT2 = 2.0 ** -0.5
 
 
 class MalformedSampleError(ValueError):
-    """Encoded sample violates the <=3-ones-per-block restriction."""
+    """Encoded sample with a bad shape, a bit other than 0/1 or a block of over three ones."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,6 +200,9 @@ class EncodedSample:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("k", self.k)):
+            if value < 1:
+                raise MalformedSampleError(f"{name} must be >= 1, got {value}")
         if len(self.bits) != self.n * self.k:
             raise MalformedSampleError(
                 f"expected {self.n * self.k} bits for n={self.n}, k={self.k}, got {len(self.bits)}"
@@ -218,10 +221,8 @@ class EncodedSample:
 
 
 def encode(inst: ForrelationInstance) -> EncodedSample:
-    bits = []
-    for f in inst.functions:
-        bits.extend(1 if j in f.bits else 0 for j in range(1, inst.n + 1))
-    return EncodedSample(inst.n, inst.k, tuple(bits))
+    bits = tuple((f.mask >> j) & 1 for f in inst.functions for j in range(inst.n))
+    return EncodedSample(inst.n, inst.k, bits)
 
 
 def decode(sample: EncodedSample) -> ForrelationInstance:

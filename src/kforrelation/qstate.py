@@ -36,8 +36,9 @@ Phi at six qubits or fewer).
 The runner hands out plain float64 rows: it fills its first Hadamard
 layer in as the uniform vector and leaves its last one open, for
 close_layer to apply when an entry other than index 0 is read.  The Gate
-engine (StateVector, apply_gate, apply_circuit, unitary_of) applies any
-gate of the family and rounds at every layer; it is the dense reference.
+engine is the dense reference and rounds at every layer: apply_gate checks,
+applies and norm-checks every Gate, and apply_circuit and unitary_of run
+through it.
 """
 from __future__ import annotations
 
@@ -219,11 +220,6 @@ def _wht_inplace(amp: np.ndarray, n: int) -> None:
         low += c
 
 
-def _hadamard_all_inplace(amp: np.ndarray, n: int) -> None:
-    _wht_inplace(amp, n)
-    amp *= 2.0 ** (-0.5 * n)
-
-
 def _flip_inplace(amp: np.ndarray, n: int, mask: int) -> None:
     """Exact -1 on every basis state x with x & mask == mask, by one product
     with a sign-table row up to SIGN_TABLE_QUBITS qubits.  Mask 0 (the
@@ -241,51 +237,29 @@ def _flip_inplace(amp: np.ndarray, n: int, mask: int) -> None:
     amp.reshape((2,) * n)[tuple(sel)] *= -1.0
 
 
-def _swap_inplace(amp: np.ndarray, n: int, targets: frozenset[int]) -> None:
-    a, b = sorted(targets)
-    view = amp.reshape((2,) * n)
-    sel = [slice(None)] * n
-    sel[n - a], sel[n - b] = 0, 1
-    lo_hi = tuple(sel)
-    sel[n - a], sel[n - b] = 1, 0
-    hi_lo = tuple(sel)
-    tmp = view[lo_hi].copy()
-    view[lo_hi] = view[hi_lo]
-    view[hi_lo] = tmp
-
-
-def _apply_inplace(amp: np.ndarray, n: int, gate: Gate) -> bool:
-    """Apply the gate; returns False when it is a no-op (identity placeholder
-    or zero-angle phase), so callers can skip the norm re-check."""
-    if gate.kind is GateKind.HADAMARD_ALL:
-        _hadamard_all_inplace(amp, n)
-    elif gate.kind is GateKind.PHASE_FLIP or gate.kind is GateKind.CONTROLLED_PHASE:
-        # A phase flip and a controlled phase at angle pi are one exact -1 on
-        # the all-ones subspace of the targets.
-        if not gate.targets or (gate.kind is GateKind.CONTROLLED_PHASE and gate.angle == 0.0):
-            return False
-        _flip_inplace(amp, n, sum(1 << (q - 1) for q in gate.targets))
-    elif gate.kind is GateKind.SWAP:
-        _swap_inplace(amp, n, gate.targets)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return True
-
-
-def _validate_gate(gate: Gate, n: int) -> None:
-    for q in gate.targets:
+def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate in place and return the same state.  A target beyond
+    the state's qubits raises ValueError.  A Hadamard layer is the +-1
+    transform times 2^(-n/2); a phase flip, or a controlled phase at pi, is
+    one exact -1 on the all-ones subspace of the targets; SWAP exchanges two
+    axes of the (2,)*n view.  A no-op (the identity placeholder, a controlled
+    phase at 0) returns at once; any other gate re-checks the norm to 1e-12."""
+    amp, n, kind, targets = state.amplitudes, state.n_qubits, gate.kind, gate.targets
+    for q in targets:
         if q > n:
             raise ValueError(f"gate targets qubit {q} but state has {n} qubits")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, updating the state in place.  Returns the same object.
-
-    Norm is re-checked after every application (|1 - sum|a|^2| <= 1e-12).
-    """
-    _validate_gate(gate, state.n_qubits)
-    if _apply_inplace(state.amplitudes, state.n_qubits, gate):
-        _check_norms([float(np.vdot(state.amplitudes, state.amplitudes))])
+    if kind is GateKind.HADAMARD_ALL:
+        _wht_inplace(amp, n)
+        amp *= 2.0 ** (-0.5 * n)
+    elif kind is GateKind.SWAP:
+        a, b = targets  # axis n-q of the (2,)*n view is qubit q
+        view = np.moveaxis(amp.reshape((2,) * n), (n - a, n - b), (0, 1))
+        view[[0, 1], [1, 0]] = view[[1, 0], [0, 1]]
+    elif not targets or (kind is GateKind.CONTROLLED_PHASE and gate.angle == 0.0):
+        return state
+    else:
+        _flip_inplace(amp, n, sum(1 << (q - 1) for q in targets))
+    _check_norms([float(np.vdot(amp, amp))])
     return state
 
 
@@ -452,15 +426,14 @@ def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the gate sequence, for tiny-scale checks.
 
     Column z is the image of basis state z; ordering matches StateVector
-    indexing (qubit 1 = least significant bit).
+    indexing (qubit 1 = least significant bit).  Each column is a basis
+    state run through apply_circuit, so every gate is checked and
+    norm-checked as on any state.
     """
     if not isinstance(n, int) or n < 1 or n > UNITARY_MAX_QUBITS:
         raise CapacityError(f"unitary_of supports 1 <= n <= {UNITARY_MAX_QUBITS}, got {n}")
-    for g in gates:
-        _validate_gate(g, n)
     out = np.eye(1 << n)
     for col in out:  # row z is basis state z; it ends as column z of the result
-        for g in gates:
-            _apply_inplace(col, n, g)
+        apply_circuit(StateVector(n, col), gates)
     return out.T
 

@@ -140,6 +140,15 @@ def test_classify_non_object_line_is_runtime_error(dataset, tmp_path, capsys, va
     assert f"line {kept + 1}:" in stderr
 
 
+def test_classify_record_with_n_below_one_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "n0.jsonl"
+    bad.write_text('{"n": 0, "k": 3, "bits": "", "label": -1, "phi": "0.0", "provenance": "rejection_sampled"}\n')
+    code, stdout, stderr = run_cli(["classify", "--data", str(bad)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "line 1: n must be >= 1, got 0" in stderr
+
+
 @pytest.mark.parametrize("mode", ["vqc", "qsvm"])
 def test_classify_header_only_dataset(mode, tmp_path, capsys):
     path = tmp_path / "header.jsonl"

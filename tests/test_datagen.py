@@ -476,6 +476,10 @@ RECORD_NEG = '{"n": 3, "k": 3, "bits": "100010001", "label": -1, "phi": "0.0", "
     ([HEADER_N3.replace('"n": 3', '"n": 4.0')], 1, "n"),
     ([HEADER_N3.replace('"seed": 0', '"seed": false')], 1, "seed"),
     ([HEADER_N3.replace('"count_neg": 1', '"count_neg": "1"')], 1, "count_neg"),
+    # Integers below 1, with n*k bits each, so only the shape check refuses them.
+    ([RECORD_NEG.replace('"n": 3, "k": 3', '"n": -1, "k": -1').replace('"100010001"', '"1"')], 1, "n"),
+    ([RECORD_NEG.replace('"n": 3', '"n": 0').replace('"100010001"', '""')], 1, "n"),
+    ([RECORD_NEG.replace('"k": 3', '"k": 0').replace('"100010001"', '""')], 1, "k"),
 ])
 def test_read_rejects_non_integer_fields(tmp_path, lines, bad_line, field):
     path = tmp_path / "typed.jsonl"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -271,10 +272,18 @@ def test_swap_fixes_zero_amplitude():
 
 
 def test_swap_permutes_basis():
-    state = init_zero(2)
-    state.amplitudes[:] = [0, 1, 0, 0]  # |q1=1,q2=0>
-    apply_gate(state, swap(1, 2))
-    assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
+    # SWAP(a, b) moves the amplitude of x to x with bits a-1 and b-1
+    # exchanged, for every pair at every width up to seven qubits.
+    for n in range(2, 8):
+        x = np.arange(1 << n)
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            state = _random_state(n, 10 * a + b)
+            differ = ((x >> (a - 1)) ^ (x >> (b - 1))) & 1
+            image = x ^ (differ << (a - 1)) ^ (differ << (b - 1))
+            expected = np.empty_like(state.amplitudes)
+            expected[image] = state.amplitudes
+            apply_gate(state, swap(a, b))
+            assert state.amplitudes.tobytes() == expected.tobytes(), (n, a, b)
 
 
 def test_sampling_degenerate_distribution():
