@@ -4,8 +4,9 @@ Two classifiers, both using the instance circuit U_F(x) as the feature map
 |phi(x)> = U_F(x) |0...0> with the projector onto |0...0> as measurement:
 
 * VQC rule: predict +1 iff p0(x) > (1 - bias)/2.  Any bias strictly inside
-  (7/25, 4999/5000) separates the promise classes exactly, since promise
-  positives have p0 >= 9/25 and promise negatives p0 <= 1/10000.
+  (VQC_BIAS_LOWER, VQC_BIAS_UPPER) separates the promise classes exactly,
+  since promise positives have p0 = phi^2 >= 9/25 and promise negatives
+  p0 <= 1/10000; both bounds are derived from datagen's promise bands.
 * Two-sample QSVM: train on one engineered sample per class; the dual
   collapses to a one-dimensional concave quadratic with a closed-form
   maximiser alpha = min(1/(1 - k12), C).  Prediction is
@@ -28,10 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .datagen import NEGATIVE_PHI_MAX, POSITIVE_PHI_MIN
 from .forrelation import CONSTANT, EncodedSample, ForrelationInstance, decode, simulate_reduced
 
-VQC_BIAS_LOWER = 7 / 25
-VQC_BIAS_UPPER = 4999 / 5000
+VQC_BIAS_LOWER = 1 - 2 * POSITIVE_PHI_MIN ** 2
+VQC_BIAS_UPPER = 1 - 2 * NEGATIVE_PHI_MAX ** 2
 DEGENERATE_KERNEL_TOL = 1e-12
 DEFAULT_BOX_C = 1e6   # effectively unconstrained; keeps alpha = 1/(1-k12) unclipped
 
@@ -124,8 +126,8 @@ def qsvm_train(
 ) -> DualSolution:
     """Closed-form dual solution for the two training samples.
 
-    alpha = min(1/(1 - k12), box_c); bias defaults to the midpoint of the
-    separating interval (7*alpha/25, 4999*alpha/5000).  Also computes the
+    alpha = min(1/(1 - k12), box_c); bias is alpha * default_bias(), the
+    midpoint of the separating interval scaled by alpha.  Also computes the
     QSVM target z of x_minus (see negative_target_index), so a
     non-constructive x_minus is rejected here with ValueError.
     """
@@ -137,7 +139,7 @@ def qsvm_train(
             f"training samples are indistinguishable under the feature map (k12 = {k12!r})"
         )
     alpha = min(1.0 / (1.0 - k12), box_c)
-    bias = alpha * 0.5 * (VQC_BIAS_LOWER + VQC_BIAS_UPPER)
+    bias = alpha * default_bias()
     _target_index(x_minus)  # simulate the target once, at training time
     return DualSolution(alpha, bias, x_plus, x_minus, box_c)
 

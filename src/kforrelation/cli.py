@@ -33,68 +33,61 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(low: int):
+    """argparse type for an integer flag >= low; argparse names the flag in the error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # a non-integer reads "invalid int value", as with type=int
+    return parse
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="kforrelation", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("gen", help="generate a labelled dataset file")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--pos", type=int, required=True, help="positive sample count")
-    g.add_argument("--neg", type=int, required=True, help="negative sample count")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--tries", type=int, default=10000, help="rejection-sampling budget")
+    g.add_argument("--n", type=_at_least(1), required=True)
+    g.add_argument("--k", type=_at_least(3), required=True)
+    g.add_argument("--pos", type=_at_least(0), required=True, help="positive sample count")
+    g.add_argument("--neg", type=_at_least(0), required=True, help="negative sample count")
+    g.add_argument("--seed", type=_at_least(0), default=0)
+    g.add_argument("--tries", type=_at_least(0), default=10000, help="rejection-sampling budget")
     g.add_argument("--out", required=True, help="output path (JSON lines)")
     g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("classify", help="classify a dataset file and report accuracy")
     c.add_argument("--data", required=True, help="dataset path written by gen")
     c.add_argument("--mode", choices=("vqc", "qsvm"), default="vqc")
-    c.add_argument("--shots", type=int, default=None, help="sampled mode; omit for exact")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--shots", type=_at_least(1), default=None, help="sampled mode; omit for exact")
+    c.add_argument("--seed", type=_at_least(0), default=0)
     c.add_argument("--bias", type=float, default=cls.default_bias(), help="VQC bias; default is the interval midpoint")
     c.set_defaults(func=cmd_classify)
 
     v = sub.add_parser("verify", help="run the cross-module invariant suite")
-    v.add_argument("--n", type=int, default=None, help="restrict the oracle sweep to this n")
-    v.add_argument("--k", type=int, default=None, help="restrict the oracle sweep to this k")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trials", type=int, default=50, help="randomised trials per invariant")
+    v.add_argument("--n", type=_at_least(1), default=None, help="restrict the oracle sweep to this n")
+    v.add_argument("--k", type=_at_least(1), default=None, help="restrict the oracle sweep to this k")
+    v.add_argument("--seed", type=_at_least(0), default=0)
+    v.add_argument("--trials", type=_at_least(0), default=50, help="randomised trials per invariant")
     v.set_defaults(func=cmd_verify)
     return p
 
 
 def _validate_args(parser, args) -> None:
-    """Range checks argparse does not make; each failure is a usage error."""
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "gen":
-        if args.k < 3 or args.k % 2 == 0:
-            parser.error(f"--k must be odd and >= 3, got {args.k}")
-        if args.n < 1:
-            parser.error(f"--n must be >= 1, got {args.n}")
-        if args.pos < 0 or args.neg < 0:
-            parser.error("--pos and --neg must be >= 0")
-        if args.tries < 0:
-            parser.error(f"--tries must be >= 0, got {args.tries}")
-    elif args.command == "classify":
-        if args.shots is not None and args.shots < 1:
-            parser.error(f"--shots must be >= 1, got {args.shots}")
-        if not -1.0 <= args.bias <= 1.0:
-            parser.error(f"--bias must lie in [-1, 1], got {args.bias}")
+    """The rules no one flag's type states; each failure is a usage error."""
+    if args.command == "gen" and args.k % 2 == 0:
+        parser.error(f"--k must be odd, got {args.k}")
+    elif args.command == "classify" and not -1.0 <= args.bias <= 1.0:
+        parser.error(f"--bias must lie in [-1, 1], got {args.bias}")
     elif args.command == "verify":
         if (args.n is None) != (args.k is None):
             parser.error("--n and --k scope the oracle sweep together: give both or neither")
-        if args.n is not None and args.n < 1:
-            parser.error(f"--n must be >= 1, got {args.n}")
-        if args.k is not None and args.k < 1:
-            parser.error(f"--k must be >= 1, got {args.k}")
         if args.n is not None and _sweep_too_large(args.n, args.k):
             parser.error(f"--n {args.n} --k {args.k}: the exhaustive oracle sweep is too large (at most 4096 "
                          f"instances of n*k <= {forrelation.BRUTE_FORCE_MAX_BITS} bits, and at most 2^27 "
                          f"summands in all, instances times 2^(n*k))")
-        if args.trials < 0:
-            parser.error(f"--trials must be >= 0, got {args.trials}")
 
 
 def cmd_gen(args) -> int:

@@ -68,7 +68,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +90,6 @@ from .qstate import (
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
 BRUTE_FORCE_CHUNK = 1 << 20  # partition size; the exact integer sum makes it invisible
 PHI_BOUND_TOL = 1e-12
-
-_INV_SQRT2 = 2.0 ** -0.5
 
 
 class MalformedSampleError(ValueError):
@@ -171,9 +169,8 @@ class ForrelationInstance:
         if len(self.functions) < 1:
             raise ValueError("an instance needs at least one function")
         for f in self.functions:
-            for b in f.bits:
-                if b > self.n:
-                    raise ValueError(f"function bit {b} exceeds n = {self.n}")
+            if f.mask >> self.n:
+                raise ValueError(f"function bit {f.mask.bit_length()} exceeds n = {self.n}")
 
     @property
     def k(self) -> int:
@@ -458,7 +455,7 @@ def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     return _reduced_state(inst, comps)
 
 
-def simulate_reduced_batch(insts: Sequence[ForrelationInstance]) -> list[ReducedState]:
+def simulate_reduced_batch(insts: Iterable[ForrelationInstance]) -> list[ReducedState]:
     """simulate_reduced of each instance, with the components of all of
     them grouped by qubit count and collapsed program shape (applied
     Hadamard layers, open last layer) and each group run by one
@@ -467,7 +464,7 @@ def simulate_reduced_batch(insts: Sequence[ForrelationInstance]) -> list[Reduced
     does not go through the grouping: for one instance it cost more than
     it saved."""
     groups: dict[tuple[int, int, bool], list] = {}   # (qubits, layers, open_last) -> programs
-    layout = []   # per instance: (mask, support, group, row) per component
+    layout = []   # per instance: (inst, [(mask, support, group, row) per component])
     for inst in insts:
         parts = []
         for part, support, flips, open_last in _programs(inst):
@@ -475,10 +472,10 @@ def simulate_reduced_batch(insts: Sequence[ForrelationInstance]) -> list[Reduced
             rows = groups.setdefault(group, [])
             parts.append((part, support, group, len(rows)))
             rows.append(flips)
-        layout.append(parts)
+        layout.append((inst, parts))
     runs = {group: run_sign_circuit(group[0], rows, group[2]) for group, rows in groups.items()}
     out = []
-    for inst, parts in zip(insts, layout):
+    for inst, parts in layout:
         comps = []
         for part, support, group, i in parts:
             rows, e, scale = runs[group]
@@ -615,15 +612,12 @@ def phi_fixed_ansatz(sample: EncodedSample) -> float:
 
 
 def gadget_gate_sequence() -> list[Gate]:
-    """The two-qubit identity H CZ H CZ H CZ H = SWAP o H (exact, no phase)."""
-    gates = [hadamard_all()]
-    for _ in range(3):
-        gates.append(phase_flip(1, 2))
-        gates.append(hadamard_all())
-    return gates
+    """The two-qubit identity H CZ H CZ H CZ H = SWAP o H (exact, no phase),
+    built from the functions oddk_extend appends for one pair."""
+    return build_circuit(ForrelationInstance(2, tuple(_gadget_chain([(1, 2)]))))
 
 
-ODD_N_PHI_SCALE = _INV_SQRT2
+ODD_N_PHI_SCALE = 2.0 ** -0.5
 """Phi rescaling incurred by oddk_extend when n is odd (see oddk_extend)."""
 
 

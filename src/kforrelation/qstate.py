@@ -422,7 +422,7 @@ def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray
     return np.bincount(draws, minlength=p.size)
 
 
-def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
+def unitary_of(gates: Iterable[Gate], n: int) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the gate sequence, for tiny-scale checks.
 
     Column z is the image of basis state z; ordering matches StateVector
@@ -432,6 +432,7 @@ def unitary_of(gates: Sequence[Gate], n: int) -> np.ndarray:
     """
     if not isinstance(n, int) or n < 1 or n > UNITARY_MAX_QUBITS:
         raise CapacityError(f"unitary_of supports 1 <= n <= {UNITARY_MAX_QUBITS}, got {n}")
+    gates = list(gates)   # every column runs the same gates, so a generator is read once
     out = np.eye(1 << n)
     for col in out:  # row z is basis state z; it ends as column z of the result
         apply_circuit(StateVector(n, col), gates)

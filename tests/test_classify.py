@@ -80,6 +80,8 @@ def test_vqc_model_validation(pair33):
     with pytest.raises(ValueError, match="shots"):
         vqc_classify(pos, 0.5, shots=0)
     assert VQC_BIAS_LOWER < default_bias() < VQC_BIAS_UPPER
+    # derived from the promise bands, and exactly the paper's interval
+    assert VQC_BIAS_LOWER == 7 / 25 and VQC_BIAS_UPPER == 4999 / 5000
 
 
 def test_vqc_sampled_mode_constructive(pair33):

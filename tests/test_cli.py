@@ -217,7 +217,8 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
                                    ["verify", "--n", "0", "--k", "3"], ["verify", "--k", "0", "--n", "2"],
                                    ["verify", "--n", "5", "--k", "3"], ["gen", "--seed", "-1"],
                                    ["classify", "--seed", "-1"], ["verify", "--seed", "-1"],
-                                   ["verify", "--n", "25", "--k", "1"]])
+                                   ["verify", "--n", "25", "--k", "1"], ["gen", "--n", "0"], ["gen", "--k", "1"],
+                                   ["gen", "--pos", "-1"], ["gen", "--neg", "-1"], ["gen", "--tries", "x"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

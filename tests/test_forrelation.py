@@ -54,6 +54,8 @@ def test_function_evaluate():
 def test_instance_validation():
     with pytest.raises(ValueError):
         instance_of(2, {3})  # bit index beyond n
+    with pytest.raises(ValueError, match="function bit 6 exceeds n = 3"):
+        instance_of(3, {1, 4, 6})  # the highest bit past n is named
     with pytest.raises(ValueError):
         ForrelationInstance(3, ())
 
@@ -108,6 +110,21 @@ def test_roundtrip_randomized(seed):
     for _ in range(50):
         inst = random_instance(int(rng.integers(3, 9)), int(rng.integers(1, 8)), rng)
         assert decode(encode(inst)) == inst
+
+
+def test_batched_draws_equal_scalar_draws():
+    # random_instance draws one function index per rng.integers call.  A
+    # batched draw of a whole chunk must give the same values, in row-major
+    # order, and leave the generator where the scalar calls leave it; numpy
+    # does not document this, so a numpy upgrade that breaks it fails here.
+    for n in (3, 6, 12, 20):
+        count = len(restricted_functions(n))
+        for shape in ((64, 7), (16, 3), (5, 9)):
+            for seed in range(50):
+                batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                values = batched.integers(count, size=shape)
+                assert values.ravel().tolist() == [int(scalar.integers(count)) for _ in range(values.size)]
+                assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +323,7 @@ def test_oddk_n2_k2():
     ext = oddk_extend(inst)
     assert ext.extended and ext.phi_scale == 1.0
     assert ext.instance.k == 5
+    assert gadget_gate_sequence() == build_circuit(ext.instance)[-7:]   # the gadget check covers this chain
     assert abs(phi_circuit(ext.instance) - phi_circuit(inst)) <= 1e-10
 
 

@@ -326,6 +326,10 @@ def test_unitary_of_empty_is_identity():
     assert np.array_equal(unitary_of([], 2), np.eye(4))
 
 
+def test_unitary_of_reads_a_generator_once():
+    assert np.array_equal(unitary_of((g for g in [swap(1, 2)]), 2), unitary_of([swap(1, 2)], 2))
+
+
 def test_unitary_of_hh_is_identity():
     u = unitary_of([hadamard_all(), hadamard_all()], 1)
     assert np.max(np.abs(u - np.eye(2))) <= 1e-12

@@ -133,11 +133,11 @@ def test_batch_equals_one_at_a_time(insts, random):
     # Bit for bit: Phi, and every amplitude and probability read at random z.
     assert phi_circuits(insts) == [phi_circuit(inst) for inst in insts]
     batch = simulate_reduced_batch(insts)
-    for inst, red in zip(insts, batch):
+    for inst, red, once in zip(insts, batch, simulate_reduced_batch(iter(insts)), strict=True):  # one-shot input
         single = simulate_reduced(inst)
         for z in [0] + [random.randrange(1 << inst.n) for _ in range(3)] if random else range(1 << inst.n):
-            assert red.amplitude(z) == single.amplitude(z)
-            assert red.probability(z) == single.probability(z)
+            assert red.amplitude(z) == once.amplitude(z) == single.amplitude(z)
+            assert red.probability(z) == once.probability(z) == single.probability(z)
 
 
 def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
