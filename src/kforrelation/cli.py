@@ -46,7 +46,7 @@ def _at_least(low: int):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="kforrelation", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = p.subcommands = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("gen", help="generate a labelled dataset file")
     g.add_argument("--n", type=_at_least(1), required=True)
@@ -76,7 +76,8 @@ def _build_parser() -> _Parser:
 
 
 def _validate_args(parser, args) -> None:
-    """The rules no one flag's type states; each failure is a usage error."""
+    """The rules no one flag's type states; each failure is a usage error of
+    `parser`, the subcommand's own parser."""
     if args.command == "gen" and args.k % 2 == 0:
         parser.error(f"--k must be odd, got {args.k}")
     elif args.command == "classify" and not -1.0 <= args.bias <= 1.0:
@@ -272,7 +273,7 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate_args(parser, args)
+    _validate_args(parser.subcommands.choices[args.command], args)
     try:
         return args.func(args)
     except (qstate.CapacityError, ValueError) as exc:

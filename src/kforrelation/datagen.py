@@ -6,12 +6,12 @@ Two sources of samples:
   (f1 = f3 = a three-bit product, rest constant) and a negative whose
   circuit lands on a different basis state (f1 a single bit, f2 a three-bit
   product, rest constant);
-* rejection-sampled test instances: uniform draws over the restricted
-  function family, kept only when exact simulation puts Phi inside a
-  promise band (positive: Phi >= 3/5, negative: |Phi| <= 1/100).  Draws
-  are simulated a chunk at a time (forrelation.phi_circuits) and accepted
-  in order, so a dataset and its report are those a draw-by-draw loop
-  gives.
+* rejection-sampled test instances: uniform over complete tuples of the
+  restricted function family, re-drawn until complete, kept only when
+  exact simulation puts Phi inside a promise band (positive: Phi >= 3/5,
+  negative: |Phi| <= 1/100).  Draws are simulated a chunk at a time
+  (forrelation.phi_circuits) and accepted in order, so a dataset and its
+  report are those a draw-by-draw loop gives.
 
 Labels are always derived from exact simulation, never from shots.  The
 file format is line-delimited JSON: one header record carrying the
@@ -39,7 +39,6 @@ from .forrelation import (
     phi_circuit,
     phi_circuits,
     random_instance,
-    restricted_functions,
     sample_from_string,
     simulate_reduced,
 )
@@ -149,21 +148,15 @@ def make_negative_sample(n: int, k: int, j: int, three_bits: Iterable[int]) -> L
 
 
 def sample_random_instance(n: int, k: int, rng: np.random.Generator) -> ForrelationInstance:
-    """Uniform draw over function tuples, re-drawn until some function has
-    exactly three bits (the completeness condition); after 100 re-draws one
-    function is replaced by a random three-bit product."""
+    """Uniform over complete tuples, re-drawn until complete: the first
+    k-tuple of the rng stream in which some function has exactly three bits
+    (the completeness condition)."""
     if n < 3:
         raise ValueError(f"the completeness condition needs n >= 3, got n = {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for _ in range(100):
+    while True:
         inst = random_instance(n, k, rng)
         if inst.promise_complete_form:
             return inst
-    triples = [f for f in restricted_functions(n) if len(f.bits) == 3]
-    fixed = list(inst.functions)
-    fixed[int(rng.integers(k))] = triples[int(rng.integers(len(triples)))]
-    return ForrelationInstance(n, tuple(fixed))
 
 
 @dataclass(frozen=True)

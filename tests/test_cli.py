@@ -208,7 +208,9 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", *half, "--trials", "2"])
     assert err.value.code == 64
-    assert "--n and --k" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert "--n and --k" in stderr
+    assert "usage: kforrelation verify " in stderr and "kforrelation verify: error:" in stderr
 
 
 @pytest.mark.parametrize("flags", [["verify", "--trials", "-4"], ["classify", "--shots", "0"], ["classify", "--shots", "-3"],
@@ -218,7 +220,8 @@ def test_verify_half_given_scope_is_usage_error(half, capsys):
                                    ["verify", "--n", "5", "--k", "3"], ["gen", "--seed", "-1"],
                                    ["classify", "--seed", "-1"], ["verify", "--seed", "-1"],
                                    ["verify", "--n", "25", "--k", "1"], ["gen", "--n", "0"], ["gen", "--k", "1"],
-                                   ["gen", "--pos", "-1"], ["gen", "--neg", "-1"], ["gen", "--tries", "x"]])
+                                   ["gen", "--pos", "-1"], ["gen", "--neg", "-1"], ["gen", "--tries", "x"],
+                                   ["gen", "--k", "4"]])
 def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -231,7 +234,10 @@ def test_counts_out_of_range_are_usage_errors(flags, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 64
-    assert flags[1] in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert flags[1] in stderr
+    # argparse's own errors and _validate_args's alike come from the subcommand
+    assert f"usage: kforrelation {flags[0]} " in stderr and f"kforrelation {flags[0]}: error:" in stderr
 
 
 @pytest.mark.parametrize("n", [20, 24])

@@ -124,9 +124,33 @@ def test_random_instance_promise_complete():
         assert inst.promise_complete_form
 
 
+def test_sampler_returns_the_first_complete_tuple_of_the_stream():
+    # However many incomplete k-tuples come first, the draw is the next
+    # complete one, index for index, and nothing past it is consumed.
+    funcs = restricted_functions(3)
+    triple = next(i for i, f in enumerate(funcs) if len(f.bits) == 3)
+    complete = (1, triple, 2)
+    stream = iter([0] * (100 * 3) + list(complete) + [triple])
+
+    class ScriptedRng:
+        def integers(self, high):
+            assert high == len(funcs)
+            return next(stream)
+
+    inst = sample_random_instance(3, 3, ScriptedRng())
+    assert inst.functions == tuple(funcs[i] for i in complete)
+    assert next(stream) == triple
+
+
 def test_random_instance_needs_n3():
     with pytest.raises(ValueError):
         sample_random_instance(2, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_instance_needs_a_function(k):
+    with pytest.raises(ValueError, match="at least one function"):
+        sample_random_instance(3, k, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
