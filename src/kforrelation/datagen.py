@@ -9,9 +9,10 @@ Two sources of samples:
 * rejection-sampled test instances: uniform over complete tuples of the
   restricted function family, re-drawn until complete, kept only when
   exact simulation puts Phi inside a promise band (positive: Phi >= 3/5,
-  negative: |Phi| <= 1/100).  Draws are simulated a chunk at a time
-  (forrelation.phi_circuits) and accepted in order, so a dataset and its
-  report are those a draw-by-draw loop gives.
+  negative: |Phi| <= 1/100).  A chunk of draws is one (B, k) int array of
+  function indices, simulated in one batch (forrelation.phi_draws) and
+  accepted in order, and only an accepted draw becomes an instance, so a
+  dataset and its report are those a draw-by-draw loop gives.
 
 Labels are always derived from exact simulation, never from shots.  The
 file format is line-delimited JSON: one header record carrying the
@@ -36,8 +37,10 @@ from .forrelation import (
     MalformedSampleError,
     encode,
     function_of,
+    function_tables,
+    indexed_instance,
     phi_circuit,
-    phi_circuits,
+    phi_draws,
     random_instance,
     sample_from_string,
     simulate_reduced,
@@ -175,23 +178,24 @@ class GenerationReport:
     phi_bins: tuple[int, ...]   # 20 equal bins over [-1, 1] for all tried instances
 
 
-def _phis(chunk: list[ForrelationInstance]) -> Iterable[float]:
-    """Phi of each draw, in order, from one batch.  Should any draw fail,
-    they are taken one at a time instead, so that an error raises only if
-    the accept loop reaches its draw, as it would draw by draw."""
-    try:
-        return phi_circuits(chunk)
-    except (CapacityError, RuntimeError):
-        return map(phi_circuit, chunk)
+def _draw_chunk(n: int, k: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The (size, k) int array of the tuples size sample_random_instance
+    calls return, rng left where they leave it: a (B, k) draw is B*k scalar
+    draws, so the incomplete rows are dropped and the shortfall drawn again."""
+    complete = function_tables(n)[1]
+    draws = rng.integers(len(complete), size=(size, k))
+    draws = draws[complete[draws].any(axis=1)]
+    return draws if len(draws) == size else np.concatenate([draws, _draw_chunk(n, k, size - len(draws), rng)])
 
 
 def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], GenerationReport]:
     """Rejection-sample labelled instances per the spec.
 
-    Draws come from one rng seeded with spec.seed, in chunks of CHUNK_MIN
-    to CHUNK_MAX whose Phi is evaluated in one batch; draws are accepted in
-    order and the loop stops at the same try as a draw-by-draw loop, so the
-    result does not depend on the chunking.
+    Draws come from one rng seeded with spec.seed, in int-array chunks of
+    CHUNK_MIN to CHUNK_MAX (_draw_chunk) whose Phi is evaluated in one batch.
+    Draws are accepted in order and built as instances only once accepted;
+    the loop stops at the same try as a draw-by-draw loop, so the result
+    does not depend on the chunking.
 
     Positives left unfilled after max_rejection_tries are topped up with
     engineered samples over distinct (i, j, l) triples (reported, never
@@ -201,55 +205,51 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[LabeledSample], Generation
         raise GenerationError(f"promise-complete instances need n >= 3, got n = {spec.n}")
     rng = np.random.default_rng(spec.seed)
     samples: list[LabeledSample] = []
-    tries = accepted_pos = accepted_neg = 0
+    tries = 0
     phis: list[float] = []
-    need_pos, need_neg = spec.count_pos, spec.count_neg
-    while (need_pos > 0 or need_neg > 0) and tries < spec.max_rejection_tries:
+    need, accepted = {1: spec.count_pos, -1: spec.count_neg}, {1: 0, -1: 0}   # per label
+    while (need[1] > 0 or need[-1] > 0) and tries < spec.max_rejection_tries:
         # As many draws as the remaining need takes at each class's
         # acceptance rate so far (one per sample before the first try).
-        expected = [need * tries / accepted if accepted else CHUNK_MAX
-                    for need, accepted in ((need_pos, accepted_pos), (need_neg, accepted_neg)) if need > 0]
-        size = max(CHUNK_MIN, math.ceil(max(expected) if tries else need_pos + need_neg))
+        expected = [need[c] * tries / accepted[c] if accepted[c] else CHUNK_MAX for c in need if need[c] > 0]
+        size = max(CHUNK_MIN, math.ceil(max(expected) if tries else need[1] + need[-1]))
         size = min(size, CHUNK_MAX, spec.max_rejection_tries - tries)
-        chunk = [sample_random_instance(spec.n, spec.k, rng) for _ in range(size)]
-        for inst, phi in zip(chunk, _phis(chunk)):
+        draws = _draw_chunk(spec.n, spec.k, size, rng)
+        try:
+            chunk_phis = phi_draws(spec.n, draws)
+        except (CapacityError, RuntimeError):   # one at a time, so an error raises only at its draw
+            chunk_phis = (phi_circuit(indexed_instance(spec.n, row)) for row in draws.tolist())
+        for row, phi in zip(draws.tolist(), chunk_phis):
             tries += 1
             phis.append(phi)
-            if phi >= POSITIVE_PHI_MIN and need_pos > 0:
-                samples.append(LabeledSample(encode(inst), 1, phi, PROVENANCE_REJECTION))
-                accepted_pos += 1
-                need_pos -= 1
-            elif abs(phi) <= NEGATIVE_PHI_MAX and need_neg > 0:
-                samples.append(LabeledSample(encode(inst), -1, phi, PROVENANCE_REJECTION))
-                accepted_neg += 1
-                need_neg -= 1
-            if need_pos <= 0 and need_neg <= 0:
+            label = 1 if phi >= POSITIVE_PHI_MIN else -1 if abs(phi) <= NEGATIVE_PHI_MAX else 0
+            if label and need[label] > 0:
+                samples.append(LabeledSample(encode(indexed_instance(spec.n, row)), label, phi, PROVENANCE_REJECTION))
+                accepted[label] += 1
+                need[label] -= 1
+            if need[1] <= 0 and need[-1] <= 0:
                 break
 
-    constructive_pos = 0
-    if need_pos > 0:
+    if need[1] > 0:   # positives left unfilled: engineered ones fill them
         triples = list(itertools.combinations(range(1, spec.n + 1), 3))
-        if need_pos > len(triples):
+        if need[1] > len(triples):
             raise GenerationError(
-                f"cannot fill {need_pos} positives: only {len(triples)} distinct constructive triples at n = {spec.n}"
+                f"cannot fill {need[1]} positives: only {len(triples)} distinct constructive triples at n = {spec.n}"
             )
-        for triple in triples[:need_pos]:
-            samples.append(make_positive_sample(spec.n, spec.k, *triple))
-        constructive_pos = need_pos
-        need_pos = 0
-    if need_neg > 0:
+        samples += [make_positive_sample(spec.n, spec.k, *triple) for triple in triples[:need[1]]]
+    if need[-1] > 0:
         raise GenerationError(
-            f"rejection sampling exhausted {spec.max_rejection_tries} tries with {need_neg} negatives missing"
+            f"rejection sampling exhausted {spec.max_rejection_tries} tries with {need[-1]} negatives missing"
         )
 
     bins = np.histogram(phis, bins=20, range=(-1.0, 1.0))[0] if phis else np.zeros(20, int)
     report = GenerationReport(
         tries=tries,
-        accepted_pos=accepted_pos,
-        accepted_neg=accepted_neg,
-        constructive_pos=constructive_pos,
-        acceptance_rate_pos=accepted_pos / tries if tries else 0.0,
-        acceptance_rate_neg=accepted_neg / tries if tries else 0.0,
+        accepted_pos=accepted[1],
+        accepted_neg=accepted[-1],
+        constructive_pos=need[1],
+        acceptance_rate_pos=accepted[1] / tries if tries else 0.0,
+        acceptance_rate_neg=accepted[-1] / tries if tries else 0.0,
         phi_min=min(phis) if phis else None,
         phi_max=max(phis) if phis else None,
         phi_mean=float(np.mean(phis)) if phis else None,

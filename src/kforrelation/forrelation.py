@@ -17,7 +17,7 @@ and lies in [-1, 1].  This module provides:
   of all n qubits when that is exact (n <= 6, k*n <= 53), else one
   connected component of the function supports at a time
   (simulate_reduced), equal to phi_bruteforce bit for bit; phi_circuits
-  gives the same bits for a list of instances, one block per (n, k) group,
+  and phi_draws (an int array) give its bits in bulk, one block per (n, k),
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -50,13 +50,13 @@ code, so the one rounding happens in one place.
 
 Dense rows for Phi.  Up to SIGN_TABLE_QUBITS (6) qubits a row of all n
 qubits has at most 64 entries, so the component split saves no arithmetic
-and costs more per instance than the row itself.  There phi_circuit and
-phi_circuits run every function as one flip of the whole row, with no
-split and no collapse_layers (mask 0, a constant, is the identity row of
-the sign table), so all instances of one (n, k) share one shape: k flips
-and k+1 layers, run as the rows of one block.  Index 0 of the open last
-layer is the row's sum times its scale, exact while k*n <= 53 (see
-_runs_dense), and it is rounded once, as ReducedState.amplitude rounds.
+and costs more per instance than the row itself.  There every function is
+one flip of the whole row (mask 0, a constant, is the identity row of the
+sign table), so all instances of one (n, k) run as the rows of one block;
+phi_draws looks the flips of a (B, k) int array of function indices up in
+function_tables and builds no instance.  Index 0 of the open last layer
+is the row's sum times its scale, exact while k*n <= 53 (see _runs_dense),
+and it is rounded once, as ReducedState.amplitude rounds.
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -148,6 +148,22 @@ def restricted_functions(n: int) -> tuple[BooleanFunctionSpec, ...]:
     for size in (1, 2, 3):
         funcs.extend(BooleanFunctionSpec(frozenset(c)) for c in itertools.combinations(range(1, n + 1), size))
     return tuple(funcs)
+
+
+@lru_cache(maxsize=None)
+def function_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of restricted_functions(n), as read-only arrays that an int
+    array of indices reads in one lookup: its mask, and whether it has three bits."""
+    funcs = restricted_functions(n)
+    tables = np.array([f.mask for f in funcs]), np.array([len(f.bits) == 3 for f in funcs])
+    for table in tables:
+        table.flags.writeable = False   # shared by every caller
+    return tables
+
+
+def indexed_instance(n: int, indices: Iterable[int]) -> ForrelationInstance:
+    """The instance whose functions are restricted_functions(n)[i], i in indices."""
+    return ForrelationInstance(n, tuple(map(restricted_functions(n).__getitem__, indices)))
 
 
 def random_instance(n: int, k: int, rng: np.random.Generator) -> ForrelationInstance:
@@ -513,7 +529,7 @@ def phi_circuit(inst: ForrelationInstance) -> float:
     row when _runs_dense(n, k), else simulated one connected component of
     the supports at a time (simulate_reduced)."""
     if _runs_dense(inst.n, inst.k):
-        return _dense_phis(inst.n, [inst])[0]
+        return _dense_phis(inst.n, [[[f.mask] for f in inst.functions]])[0]
     return _checked_phi(simulate_reduced(inst).amplitude(0))
 
 
@@ -529,13 +545,21 @@ def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
     rest = []
     for (n, k), idx in groups.items():
         if _runs_dense(n, k):
-            for i, phi in zip(idx, _dense_phis(n, [insts[i] for i in idx])):
+            for i, phi in zip(idx, _dense_phis(n, [[[f.mask] for f in insts[i].functions] for i in idx])):
                 out[i] = phi
         else:
             rest += idx
     for i, red in zip(rest, simulate_reduced_batch([insts[i] for i in rest])):
         out[i] = _checked_phi(red.amplitude(0))
     return out
+
+
+def phi_draws(n: int, draws: np.ndarray) -> list[float]:
+    """phi_circuits of indexed_instance(n, row) for each row of a (B, k) int
+    array, bit for bit; a dense shape builds no instance."""
+    if _runs_dense(n, draws.shape[1]):
+        return _dense_phis(n, function_tables(n)[0][draws][..., None])
+    return phi_circuits([indexed_instance(n, row) for row in draws.tolist()])
 
 
 def _runs_dense(n: int, k: int) -> bool:
@@ -548,15 +572,13 @@ def _runs_dense(n: int, k: int) -> bool:
     return n <= SIGN_TABLE_QUBITS and k * n <= sys.float_info.mant_dig
 
 
-def _dense_phis(n: int, insts: Sequence[ForrelationInstance]) -> list[float]:
-    """Phi of each instance, all of n qubits and one k, from one
-    run_sign_circuit call on all n qubits with no component split and no
-    collapse_layers: each function is one flip (mask 0, a constant, is the
-    sign table's identity row), so every row has the same k flips and k+1
-    layers.  Index 0 of each open row is its sum times scale, divided by
-    fl(sqrt(2)) when e is odd: one rounding, the bits ReducedState.amplitude
-    gives."""
-    rows, e, scale = run_sign_circuit(n, [[[f.mask] for f in inst.functions] for inst in insts], True)
+def _dense_phis(n: int, programs: Sequence[Sequence[Sequence[int]]] | np.ndarray) -> list[float]:
+    """Phi of B instances of n qubits and one k, from one run_sign_circuit
+    call on programs of one flip per function (nested lists or a (B, k, 1)
+    int array; mask 0 is the identity), with no component split and no
+    collapse_layers.  Index 0 of each open row is its sum times scale, over
+    fl(sqrt(2)) when e is odd: one rounding, as ReducedState.amplitude."""
+    rows, e, scale = run_sign_circuit(n, programs, True)
     phis = np.sum(rows, axis=1) * scale
     if e:
         phis /= _SQRT2
@@ -647,10 +669,10 @@ def oddk_extend(inst: ForrelationInstance) -> OddKExtension:
     For odd n the block needs an ancilla qubit (the output instance has n+1
     qubits, ancilla last, pair (n, n+1)); the ancilla then absorbs one
     uncancelled Hadamard and the extended Phi equals ODD_N_PHI_SCALE *
-    original Phi.  That factor is intrinsic: no arrangement of
-    4*ceil(n/2)-1 restricted functions (any products of <=3 bits, with or
-    without the ancilla) can preserve Phi for all instances when n is odd --
-    verified by exhaustive search over every such block.  The returned
+    original Phi.  At n = 3 that factor is intrinsic: no block of 7
+    restricted functions (any products of <=3 bits, with or without the
+    ancilla) preserves Phi for all instances, as an uncommitted exhaustive
+    search showed (ROADMAP item 4); n >= 5 is unchecked.  The returned
     phi_scale reports which contract the caller got.
 
     Instances whose k is already odd are returned unchanged with

@@ -296,13 +296,13 @@ def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
     return flips, pending
 
 
-def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
+def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]] | np.ndarray,
                      open_last: bool) -> tuple[list[np.ndarray], int, float]:
     """Run B circuits on m qubits, all with the same number of applied
     Hadamard layers and the same open_last, as the rows of one (B, 2^m)
     block.  A circuit is the masks flipped after each applied layer: as
     collapse_layers gives them, or one mask per layer with 0 as the
-    identity.
+    identity; programs may also be a (B, layers, F) int array, 0-padded.
 
     Returns (rows, e, scale): rows[i], a float64 array of length 2^m, is
     row i of the block (a view, so the block lives as long as any row), and
@@ -341,10 +341,13 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
             else:
                 amp.fill(scales[0])
             for mask in masks:
-                _flip_inplace(amp, m, mask)
+                _flip_inplace(amp, m, int(mask))
             norms.append(amp.dot(amp) / wants[j & 1])
         rows = [amp]
     else:
+        if not isinstance(programs, np.ndarray):   # pad every layer's masks with 0, the identity
+            width = max((len(masks) for p in programs for masks in p), default=0)
+            programs = np.array([[[*masks, *[0] * (width - len(masks))] for masks in p] for p in programs])
         rows = _run_block(m, programs, norms)
     _check_norms(norms)
     if not open_last:
@@ -352,33 +355,27 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
     return rows, (layers + 1) * m % 2, _layer_scale(layers, m)
 
 
-def _run_block(m: int, programs: Sequence[Sequence[Sequence[int]]], norms: list[float]) -> list[np.ndarray]:
+def _run_block(m: int, programs: np.ndarray, norms: list[float]) -> list[np.ndarray]:
     """run_sign_circuit's layer loop on the rows of one block: one fill,
-    +-1 transform, rescale and per-row norm per layer."""
+    +-1 transform, rescale and per-row norm per layer, and per column of its
+    (B, F) masks one flip per row, a sign-table gather or row by row."""
     _check_capacity(m)
     block = np.zeros((len(programs), 1 << m))
     block[:, 0] = 1.0
-    for j in range(len(programs[0])):
+    for j in range(programs.shape[1]):
         if j:
             _wht_inplace(block.reshape(-1), m)
             block *= _layer_scale(j, m)
         else:
             block.fill(_layer_scale(0, m))
-        _flip_rows(block, m, [p[j] for p in programs])
+        for masks in programs[:, j].T:
+            if m <= SIGN_TABLE_QUBITS:
+                block *= _sign_table(m).take(masks, axis=0)
+            else:
+                for row, mask in zip(block, masks.tolist()):
+                    _flip_inplace(row, m, mask)
         norms.extend((np.einsum("ij,ij->i", block, block) / 2.0 ** ((j + 1) * m % 2)).tolist())
     return list(block)
-
-
-def _flip_rows(block: np.ndarray, m: int, flips: Sequence[Sequence[int]]) -> None:
-    """Apply flips[i], back to back, to row i of block."""
-    if m > SIGN_TABLE_QUBITS:
-        for row, masks in zip(block, flips):
-            for mask in masks:
-                _flip_inplace(row, m, mask)
-        return
-    table = _sign_table(m)
-    for f in range(max(map(len, flips))):
-        block *= table.take([masks[f] if f < len(masks) else 0 for masks in flips], axis=0)
 
 
 @lru_cache(maxsize=None)

@@ -360,3 +360,22 @@ def test_gen_matches_golden(tmp_path, capsys):
     for g, w in zip(got[1:], want[1:]):
         assert {**g, "phi": None} == {**w, "phi": None}
         assert abs(float(g["phi"]) - float(w["phi"])) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,seed", [(6, 7, 11), (8, 5, 4)], ids=["dense", "reduced"])
+def test_gen_report_matches_golden(n, k, seed, tmp_path, capsys):
+    # tries is where the draw stream shows: a draw taken out of order, or
+    # one too many or too few, moves it.  (6,7) runs as dense rows, (8,5)
+    # through the component split.  Integer fields match exactly, the float
+    # fields to 1e-12 as in test_gen_matches_golden.
+    argv, _ = gen_args(tmp_path, n=n, k=k, pos=5, neg=5, seed=seed)
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0
+    got = json.loads(stdout)
+    want = json.loads((DATA / f"gen_report_n{n}_k{k}_s{seed}.txt").read_text())
+    floats = ("acceptance_rate_pos", "acceptance_rate_neg", "phi_min", "phi_max", "phi_mean")
+    assert list(got) == list(want)
+    assert {key: v for key, v in got.items() if key not in floats} == \
+        {key: v for key, v in want.items() if key not in floats}
+    for key in floats:
+        assert abs(got[key] - want[key]) <= 1e-12, key

@@ -30,6 +30,7 @@ from kforrelation.forrelation import (
     components,
     decode,
     encode,
+    indexed_instance,
     phi_bruteforce,
     phi_circuit,
     phi_circuits,
@@ -140,6 +141,82 @@ def test_sampler_returns_the_first_complete_tuple_of_the_stream():
     inst = sample_random_instance(3, 3, ScriptedRng())
     assert inst.functions == tuple(funcs[i] for i in complete)
     assert next(stream) == triple
+
+
+class RecordingRng:
+    """A seeded generator that records the size of each integers call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, high, size=None):
+        self.sizes.append(size)
+        return self.rng.integers(high, size=size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 3), (6, 7), (12, 5)]), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, datagen.CHUNK_MAX), min_size=1, max_size=4))
+def test_chunk_draws_are_the_scalar_draw_stream(shape, seed, sizes):
+    # Chunk after chunk, shortfall re-draws included, the rows are the
+    # tuples successive sample_random_instance calls return, and the
+    # generator ends where theirs does.  At (3, 3) about two tuples in
+    # three are incomplete, so nearly every chunk draws its shortfall again.
+    n, k = shape
+    chunked, scalar = RecordingRng(seed), np.random.default_rng(seed)
+    for size in sizes:
+        draws = datagen._draw_chunk(n, k, size, chunked)
+        assert draws.shape == (size, k)
+        assert [indexed_instance(n, row) for row in draws.tolist()] == \
+            [sample_random_instance(n, k, scalar) for _ in range(size)]
+        assert chunked.rng.bit_generator.state == scalar.bit_generator.state
+    assert all(size[1] == k for size in chunked.sizes)
+
+
+def test_chunk_draw_redraws_only_the_shortfall():
+    # One (64, 3) draw, then one draw per round of as many rows as are
+    # still missing, so the sizes never grow.
+    rng = RecordingRng(0)
+    draws = datagen._draw_chunk(3, 3, 64, rng)
+    assert len(draws) == 64 and len(rng.sizes) > 2
+    assert rng.sizes[0] == (64, 3) and all(a[0] >= b[0] for a, b in zip(rng.sizes, rng.sizes[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 3), (6, 7), (12, 5)]), st.integers(0, 2**32 - 1), st.integers(0, 12),
+       st.integers(0, 12))
+def test_gen_chunks_are_the_scalar_draw_stream(shape, seed, pos, neg):
+    # The draws generate_dataset passes to phi_draws, chunk after chunk,
+    # are the successive sample_random_instance draws of its seed.
+    n, k = shape
+    chunks = []
+    real = datagen.phi_draws
+
+    def spy(n, draws):
+        chunks.append(draws.copy())
+        return real(n, draws)
+
+    with mock.patch.object(datagen, "phi_draws", spy):
+        _, report = generate_dataset(DatasetSpec(n, k, pos, neg, seed))
+    assert bool(chunks) == bool(pos + neg)
+    drawn = np.concatenate(chunks).tolist() if chunks else []
+    assert len(drawn) >= report.tries
+    rng = np.random.default_rng(seed)
+    assert [indexed_instance(n, row) for row in drawn] == [sample_random_instance(n, k, rng) for _ in drawn]
+
+
+def test_dense_gen_builds_an_instance_only_for_an_accepted_draw(monkeypatch):
+    built = []
+    post_init = forrelation.ForrelationInstance.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(forrelation.ForrelationInstance, "__post_init__", counting)
+    samples, report = generate_dataset(DatasetSpec(6, 7, 25, 25, seed=3))
+    assert report.constructive_pos == 0 and report.tries > 4 * len(samples)
+    assert [encode(inst) for inst in built] == [s.sample for s in samples]
 
 
 def test_random_instance_needs_n3():
@@ -253,15 +330,20 @@ def outcome(fn, spec):
 @example(DatasetSpec(2, 3, 1, 0, seed=5))                               # n too small
 def test_generate_dataset_equals_draw_by_draw_loop(spec):
     chunks = []
-    real = datagen.phi_circuits
+    real = datagen.phi_draws
 
-    def spy(insts):
-        chunks.append(len(insts))
-        return real(insts)
+    def spy(n, draws):
+        chunks.append(len(draws))
+        return real(n, draws)
 
-    with mock.patch.object(datagen, "phi_circuits", spy):
+    with mock.patch.object(datagen, "phi_draws", spy):
         got = outcome(generate_dataset, spec)
     assert got == outcome(draw_by_draw, spec)
+    # Every chunk, dense rows or not, goes through phi_draws, so the chunk
+    # checks below see every chunk the loop draws: there are chunks exactly
+    # when the loop makes a try.
+    tried = spec.n >= 3 and spec.max_rejection_tries > 0 and spec.count_pos + spec.count_neg > 0
+    assert bool(chunks) == tried
     # Chunks hold CHUNK_MIN to CHUNK_MAX draws, fewer only where the budget ends.
     assert sum(chunks) <= spec.max_rejection_tries
     assert all(datagen.CHUNK_MIN <= size <= datagen.CHUNK_MAX for size in chunks[:-1])
@@ -273,14 +355,15 @@ def test_generate_dataset_equals_draw_by_draw_loop(spec):
 
 
 def spied_chunks(monkeypatch):
+    """The instances of each chunk of draws generate_dataset passes to phi_draws."""
     chunks = []
-    real = datagen.phi_circuits
+    real = datagen.phi_draws
 
-    def spy(insts):
-        chunks.append(list(insts))
-        return real(insts)
+    def spy(n, draws):
+        chunks.append([indexed_instance(n, row) for row in draws.tolist()])
+        return real(n, draws)
 
-    monkeypatch.setattr(datagen, "phi_circuits", spy)
+    monkeypatch.setattr(datagen, "phi_draws", spy)
     return chunks
 
 

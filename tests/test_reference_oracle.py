@@ -17,6 +17,7 @@ from kforrelation.forrelation import (
     phi_bruteforce,
     phi_circuit,
     phi_circuits,
+    phi_draws,
     random_instance,
     restricted_functions,
     simulate_reduced,
@@ -128,6 +129,8 @@ def test_circuit_paths_round_the_exact_integer_correctly(n, k):
     insts = [random_instance(n, k, rng) for _ in range(32)]
     totals = [exact_index0(inst) for inst in insts]
     assert phi_circuits(insts) == [rounded_phi(t, n, k) for t in totals]
+    draws = np.array([[restricted_functions(n).index(f) for f in inst.functions] for inst in insts])
+    assert phi_draws(n, draws) == [rounded_phi(t, n, k) for t in totals]
     for inst, total in zip(insts, totals):
         assert phi_circuit(inst) == rounded_phi(total, n, k)
         assert simulate_reduced(inst).probability(0) == float(Fraction(total * total, 2 ** ((k + 1) * n)))

@@ -213,6 +213,36 @@ def test_runner_row_is_the_same_alone_and_in_a_block(m, open_last):
         assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (1 << m,)
 
 
+@pytest.mark.parametrize("m", [3, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
+def test_runner_takes_a_zero_padded_int_array_as_its_nested_lists(m):
+    # One to three masks per layer, as nested lists and as the (B, layers,
+    # F) int array padded with 0: the same bits, e and scale, for one row
+    # alone and for the block.
+    rng = np.random.default_rng(m)
+    programs = [[[int(x) for x in rng.integers(1, 1 << m, size=int(rng.integers(1, 4)))] for _ in range(4)]
+                for _ in range(3)]
+    width = max(len(masks) for program in programs for masks in program)
+    array = np.array([[masks + [0] * (width - len(masks)) for masks in program] for program in programs])
+    for rows in (slice(1, 2), slice(None)):
+        lists, e, scale = qstate.run_sign_circuit(m, programs[rows], True)
+        ints, e_ints, scale_ints = qstate.run_sign_circuit(m, array[rows], True)
+        assert [row.tobytes() for row in lists] == [row.tobytes() for row in ints]
+        assert (e, scale) == (e_ints, scale_ints)
+
+
+@SETTINGS
+@given(st.sampled_from([(3, 3), (4, 4), (5, 3), (2, 7), (6, 2), (8, 2), (3, 5)]), st.integers(1, 6), st.data())
+def test_phi_of_an_int_array_of_draws_is_phi_circuits_bit_for_bit(shape, rows, data):
+    # Dense shapes read the masks off function_tables; (8, 2) is wider than
+    # the sign table and builds its instances.  All k*n <= 16, so
+    # phi_bruteforce sums every index tuple quickly.
+    n, k = shape
+    draws = np.array(data.draw(st.lists(st.lists(st.integers(0, len(restricted_functions(n)) - 1),
+                                                 min_size=k, max_size=k), min_size=rows, max_size=rows)))
+    insts = [forrelation.indexed_instance(n, row) for row in draws.tolist()]
+    assert forrelation.phi_draws(n, draws) == phi_circuits(insts) == [phi_bruteforce(inst) for inst in insts]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("k", range(1, 7))
 def test_all_constant_instance_keeps_one_qubit(n, k):
