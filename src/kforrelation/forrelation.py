@@ -13,9 +13,9 @@ and lies in [-1, 1].  This module provides:
 * restricted_functions - the allowed function family in its fixed order,
   and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
-* phi_circuit     - exact statevector simulation of U_F, as one dense row
-  of all n qubits when that is exact (n <= 6, k*n <= 53), else one
-  connected component of the function supports at a time
+* phi_circuit     - exact statevector simulation of U_F, read off dense
+  end tables of all n qubits when that is exact (n <= 6, k*n <= 53), else
+  one connected component of the function supports at a time
   (simulate_reduced), equal to phi_bruteforce bit for bit; phi_circuits
   and phi_draws (an int array) give its bits in bulk, one block per (n, k),
 * simulate_instance - the dense run of U_F on all n qubits,
@@ -48,15 +48,15 @@ shape (qstate.collapse_layers) and runs each group as the rows of one
 block, then reads every value through the same Component and ReducedState
 code, so the one rounding happens in one place.
 
-Dense rows for Phi.  Up to SIGN_TABLE_QUBITS (6) qubits a row of all n
-qubits has at most 64 entries, so the component split saves no arithmetic
-and costs more per instance than the row itself.  There every function is
-one flip of the whole row (mask 0, a constant, is the identity row of the
-sign table), so all instances of one (n, k) run as the rows of one block;
-phi_draws looks the flips of a (B, k) int array of function indices up in
-function_tables and builds no instance.  Index 0 of the open last layer
-is the row's sum times its scale, exact while k*n <= 53 (see _runs_dense),
-and it is rounded once, as ReducedState.amplitude rounds.
+Dense end tables for Phi.  Up to SIGN_TABLE_QUBITS (6) qubits a state of
+all n qubits has at most 64 entries, so the component split saves no
+arithmetic.  There Phi is 1^T D_k S ... S D_1 1 over 2^((k+1)n/2), for S
+the +-1 Sylvester matrix and D_f the flip of f, and the first two and the
+last two functions take only N^2 values (N = 42 at n = 6): _end_tables
+holds their exact states, so _dense_phis dots two table rows around the
+k-5 Hadamard layers between them, for one instance or a block; phi_draws
+reads a (B, k) int array of function indices and builds no instance.  The
+sum is exact while k*n <= 53 (see _runs_dense), and rounded once.
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -72,6 +72,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import qstate
 from .qstate import (
     SIGN_TABLE_QUBITS,
     CapacityError,
@@ -230,11 +231,20 @@ class EncodedSample:
         return self.bits[i * self.n : (i + 1) * self.n]
 
     def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode()
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=1 << 12)
+def _block_bits(n: int, mask: int) -> tuple[int, ...]:
+    """Bit j of mask as entry j; the cache holds every function of n <= 20."""
+    return tuple((mask >> j) & 1 for j in range(n))
 
 
 def encode(inst: ForrelationInstance) -> EncodedSample:
-    bits = tuple((f.mask >> j) & 1 for f in inst.functions for j in range(inst.n))
+    bits = tuple(itertools.chain.from_iterable(_block_bits(inst.n, f.mask) for f in inst.functions))
     return EncodedSample(inst.n, inst.k, bits)
 
 
@@ -525,18 +535,19 @@ def simulate_instance(inst: ForrelationInstance) -> StateVector:
 
 
 def phi_circuit(inst: ForrelationInstance) -> float:
-    """Phi as the |0...0> amplitude of the instance circuit: from one dense
-    row when _runs_dense(n, k), else simulated one connected component of
-    the supports at a time (simulate_reduced)."""
+    """Phi as the |0...0> amplitude of the instance circuit: read off the
+    dense end tables when _runs_dense(n, k), else simulated one connected
+    component of the supports at a time (simulate_reduced)."""
     if _runs_dense(inst.n, inst.k):
-        return _dense_phis(inst.n, [[[f.mask] for f in inst.functions]])[0]
+        index = _end_tables(inst.n)[2]
+        return _dense_phis(inst.n, [index[f.mask] for f in inst.functions])[0]
     return _checked_phi(simulate_reduced(inst).amplitude(0))
 
 
 def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
     """[phi_circuit(x) for x in insts], bit for bit.  The instances are
-    grouped by (n, k): each group that _runs_dense runs as one block of
-    dense rows, and all the others go through one simulate_reduced_batch.
+    grouped by (n, k): each group that _runs_dense is one block of the dense
+    evaluator, and all the others go through one simulate_reduced_batch.
     Any instance's error raises for the whole list."""
     groups: dict[tuple[int, int], list[int]] = {}
     for i, inst in enumerate(insts):
@@ -545,7 +556,9 @@ def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
     rest = []
     for (n, k), idx in groups.items():
         if _runs_dense(n, k):
-            for i, phi in zip(idx, _dense_phis(n, [[[f.mask] for f in insts[i].functions] for i in idx])):
+            index = _end_tables(n)[2]
+            draws = np.array([[index[f.mask] for f in insts[i].functions] for i in idx])
+            for i, phi in zip(idx, _dense_phis(n, draws.T)):
                 out[i] = phi
         else:
             rest += idx
@@ -558,31 +571,75 @@ def phi_draws(n: int, draws: np.ndarray) -> list[float]:
     """phi_circuits of indexed_instance(n, row) for each row of a (B, k) int
     array, bit for bit; a dense shape builds no instance."""
     if _runs_dense(n, draws.shape[1]):
-        return _dense_phis(n, function_tables(n)[0][draws][..., None])
+        return _dense_phis(n, draws.T)
     return phi_circuits([indexed_instance(n, row) for row in draws.tolist()])
 
 
 def _runs_dense(n: int, k: int) -> bool:
-    """Whether Phi of an (n, k) instance is read off one row of all n
-    qubits: n is within the sign table, and k*n fits float64's significand.
-    After the uniform fill every entry is an integer times a power of two,
-    and each of the k-1 later +-1 transforms multiplies the largest integer
-    by at most 2^n, so the index-0 sum and each of its partial sums is a
-    power of two times an integer of at most 2^(k*n): exact while k*n <= 53."""
+    """Whether Phi of an (n, k) instance is read off the dense end tables: n
+    is within the sign table, and k*n fits float64's significand.  Each
+    table entry and each vector between the tables is an integer vector,
+    whose largest entry j +-1 transforms raise to at most 2^(j*n).  The
+    final dot product pairs b <= 2 transforms with the other k-1-b, so its
+    terms and partial sums are integers of at most 2^(k*n): exact while
+    k*n <= 53."""
     return n <= SIGN_TABLE_QUBITS and k * n <= sys.float_info.mant_dig
 
 
-def _dense_phis(n: int, programs: Sequence[Sequence[Sequence[int]]] | np.ndarray) -> list[float]:
-    """Phi of B instances of n qubits and one k, from one run_sign_circuit
-    call on programs of one flip per function (nested lists or a (B, k, 1)
-    int array; mask 0 is the identity), with no component split and no
-    collapse_layers.  Index 0 of each open row is its sum times scale, over
-    fl(sqrt(2)) when e is odd: one rounding, as ReducedState.amplitude."""
-    rows, e, scale = run_sign_circuit(n, programs, True)
-    phis = np.sum(rows, axis=1) * scale
-    if e:
+@lru_cache(maxsize=None)
+def _end_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Read-only int16 tables of the ends of Phi's chain at n <= 6, over the
+    N entries f, g of restricted_functions(n): row f of the first is S D_f 1
+    and row f*N + g of the second S D_g S D_f 1 (S the +-1 Sylvester matrix,
+    D_f the flip of f), each row's norm checked here; then the index of each
+    function mask in restricted_functions(n)."""
+    masks = function_tables(n)[0]
+    flips = qstate._sign_table(n)[masks]
+    one = flips.copy()
+    qstate._wht_inplace(one, n)
+    two = (one[:, None] * flips).reshape(-1, 1 << n)
+    qstate._wht_inplace(two, n)
+    for power, table in enumerate((one, two), 2):   # a row's norm is 2^(power*n)
+        qstate._check_norms((np.vecdot(table, table) / 2.0 ** (power * n)).tolist())
+    one, two = one.astype(np.int16), two.astype(np.int16)   # entries of at most 2^(2n)
+    one.flags.writeable = two.flags.writeable = False   # shared by every caller
+    index = np.zeros(1 << n, dtype=int)
+    index[masks] = np.arange(len(masks))
+    return one, two, tuple(index.tolist())
+
+
+def _dense_phis(n: int, cols: Sequence[int] | np.ndarray) -> list[float]:
+    """Phi of instances of n qubits and one k, given by columns of indices
+    into restricted_functions(n): k ints for one instance, whose table rows
+    are views, or k int arrays for a block, one gather per table end.  With
+    S and D_f symmetric, 1^T D_k S ... S D_1 1 is the end row of (f_k,
+    f_(k-1)) dotted with that of (f_1, f_2) carried through D_3 S ... S
+    D_(k-2), a norm check per row after each of the k-5 transforms (k < 5
+    takes one-function ends, and k <= 2 reads index 0).  The exact sum is
+    rounded once, as ReducedState.amplitude rounds."""
+    one, two, _ = _end_tables(n)
+    masks, signs, k = function_tables(n)[0], qstate._sign_table(n), len(cols)
+    if isinstance(cols, np.ndarray):   # a block: rows are gathered, and dotted row by row
+        dot, listed = np.vecdot, np.ndarray.tolist
+    else:   # one instance: rows are views, and dots are scalars
+        dot, listed = np.dot, lambda x: [float(x)]
+
+    def end(fs):   # the table rows of the first one or two functions of fs
+        return one[fs[0]] if len(fs) == 1 else two[fs[0] * len(one) + fs[1]]
+    if k <= 2:
+        total = end(cols)[..., 0]
+    else:
+        left, right = (2 if k > 3 else 1), (2 if k > 4 else 1)
+        v = end(cols[:left]) * signs[masks[cols[left]]]
+        for j in range(left + 1, k - right):
+            qstate._wht_inplace(v, n)
+            v *= signs[masks[cols[j]]]
+            qstate._check_norms(listed(dot(v, v) / 2.0 ** ((j + 1) * n)))
+        total = dot(end(cols[:-right - 1:-1]), v)
+    phis = total * 2.0 ** -((k + 1) * n // 2)
+    if (k + 1) * n % 2:
         phis /= _SQRT2
-    return [_checked_phi(phi) for phi in phis.tolist()]
+    return [_checked_phi(phi) for phi in listed(phis)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ first drops the identity layers of a circuit, and circuits of the same
 width and collapsed shape run together, as the rows of one block, with one
 +-1 transform, one gather of signs and one per-row norm check per layer
 (a circuit may also keep its identity layers, one flip on mask 0 each, so
-that all circuits of one length share a shape; forrelation does so for
-Phi at six qubits or fewer).
+that all circuits of one length share a shape).  Forrelation reads Phi at
+six qubits or fewer off exact end tables instead, built with the same
+kernel and sign table, which also run the layers between the tables.
 The runner hands out plain float64 rows: it fills its first Hadamard
 layer in as the uniform vector and leaves its last one open, for
 close_layer to apply when an entry other than index 0 is read.  The Gate

@@ -186,17 +186,18 @@ def test_verify_scoped_oracle_sweep(capsys):
 
 def test_verify_oracle_sweep_checks_the_dense_rows(monkeypatch):
     # Each exhaustive sweep, (2, 3) and (3, 3), is one group of phi_circuits:
-    # all of its instances run as rows of one block of all n qubits, so the
+    # all of its instances are one block of the dense evaluator, so the
     # oracle checks the dense path.  The random draws with n <= 4 join the
     # block of their (n, k).
     blocks = []
-    real = forrelation.run_sign_circuit
+    real = forrelation._dense_phis
 
-    def spy(m, programs, open_last):
-        blocks.append((m, len(programs)))
-        return real(m, programs, open_last)
+    def spy(n, cols):
+        phis = real(n, cols)
+        blocks.append((n, len(phis)))
+        return phis
 
-    monkeypatch.setattr(forrelation, "run_sign_circuit", spy)
+    monkeypatch.setattr(forrelation, "_dense_phis", spy)
     assert cli.check_oracle_equivalence(seed=3) == (True, 0.0)
     sweep_rows = {m: len(forrelation.restricted_functions(m)) ** 3 for m in (2, 3)}
     for m, rows in sweep_rows.items():
@@ -365,8 +366,8 @@ def test_gen_matches_golden(tmp_path, capsys):
 @pytest.mark.parametrize("n,k,seed", [(6, 7, 11), (8, 5, 4)], ids=["dense", "reduced"])
 def test_gen_report_matches_golden(n, k, seed, tmp_path, capsys):
     # tries is where the draw stream shows: a draw taken out of order, or
-    # one too many or too few, moves it.  (6,7) runs as dense rows, (8,5)
-    # through the component split.  Integer fields match exactly, the float
+    # one too many or too few, moves it.  (6,7) reads the dense end tables,
+    # (8,5) runs through the component split.  Integer fields match exactly, the float
     # fields to 1e-12 as in test_gen_matches_golden.
     argv, _ = gen_args(tmp_path, n=n, k=k, pos=5, neg=5, seed=seed)
     code, stdout, _ = run_cli(argv, capsys)

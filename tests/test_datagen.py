@@ -339,7 +339,7 @@ def test_generate_dataset_equals_draw_by_draw_loop(spec):
     with mock.patch.object(datagen, "phi_draws", spy):
         got = outcome(generate_dataset, spec)
     assert got == outcome(draw_by_draw, spec)
-    # Every chunk, dense rows or not, goes through phi_draws, so the chunk
+    # Every chunk, dense or not, goes through phi_draws, so the chunk
     # checks below see every chunk the loop draws: there are chunks exactly
     # when the loop makes a try.
     tried = spec.n >= 3 and spec.max_rejection_tries > 0 and spec.count_pos + spec.count_neg > 0

@@ -121,8 +121,10 @@ def test_exact_integer_matches_bruteforce_below_the_cap():
             assert rounded_phi(exact_index0(inst), n, k) == phi_bruteforce(inst)
 
 
-# (9,6) and (5,8) have odd (k+1)n, so they read through fl(sqrt(2)).
-@pytest.mark.parametrize("n,k", [(12, 5), (10, 7), (8, 9), (6, 9), (6, 13), (9, 9), (8, 6), (9, 6), (5, 8)])
+# (9,6), (5,8) and (5,10) have odd (k+1)n, so they read through fl(sqrt(2)).
+# (6,5), (6,8), (5,8), (5,9), (5,10) and (4,13) read the dense end tables.
+@pytest.mark.parametrize("n,k", [(12, 5), (10, 7), (8, 9), (6, 9), (6, 13), (9, 9), (8, 6), (9, 6), (5, 8),
+                                 (6, 5), (6, 8), (5, 9), (4, 13), (5, 10)])
 def test_circuit_paths_round_the_exact_integer_correctly(n, k):
     assert n * k > 24
     rng = np.random.default_rng(100 * n + k)

@@ -167,7 +167,7 @@ def reduced_batch_spy(monkeypatch):
 def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch):
     # Several (n, k) in one list, some wider than the sign table and some
     # past k*n = 53: every path gives the same bits, and only the groups
-    # that cannot run as dense rows reach the component batch.
+    # that are not dense reach the component batch.
     rng = np.random.default_rng(17)
     shapes = [(6, 7), (3, 5), (8, 2), (6, 9), (4, 3), (1, 5), (6, 7), (10, 2), (5, 10), (3, 18), (4, 3), (2, 10)]
     insts = [random_instance(n, k, rng) for n, k in shapes for _ in range(3)]
@@ -181,8 +181,8 @@ def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch
 
 
 def test_dense_rows_run_up_to_k_n_53_and_fall_back_past_it(monkeypatch):
-    # (6, 8) is k*n = 48: one block of 64-entry rows, and phi_circuit a lone
-    # dense row.  (6, 9) is k*n = 54, past float64's significand: the
+    # (6, 8) is k*n = 48: one dense block, and phi_circuit one instance off
+    # the end tables.  (6, 9) is k*n = 54, past float64's significand: the
     # component path, in a batch and alone.
     rng = np.random.default_rng(5)
     seen, lone = reduced_batch_spy(monkeypatch)
@@ -241,6 +241,39 @@ def test_phi_of_an_int_array_of_draws_is_phi_circuits_bit_for_bit(shape, rows, d
                                                  min_size=k, max_size=k), min_size=rows, max_size=rows)))
     insts = [forrelation.indexed_instance(n, row) for row in draws.tolist()]
     assert forrelation.phi_draws(n, draws) == phi_circuits(insts) == [phi_bruteforce(inst) for inst in insts]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, qstate.SIGN_TABLE_QUBITS + 1)
+                                 for k in range(1, BRUTE_FORCE_BITS // n + 1)])
+def test_dense_phi_is_phi_bruteforce_at_every_shape_to_24_bits(n, k):
+    # Every dense shape that phi_bruteforce reaches, odd and even k, the
+    # end-table reads of k <= 4 among them: a block of draws and each draw
+    # alone give phi_bruteforce's bits.  Past 16 bits one draw keeps the
+    # exhaustive sums to seconds.
+    rng = np.random.default_rng(100 * n + k)
+    draws = rng.integers(len(restricted_functions(n)), size=(8 if n * k <= 16 else 1, k))
+    insts = [forrelation.indexed_instance(n, row) for row in draws.tolist()]
+    assert forrelation.phi_draws(n, draws) == [phi_circuit(inst) for inst in insts] == list(map(phi_bruteforce, insts))
+
+
+def test_dense_phi_runs_k_minus_5_hadamard_layers(monkeypatch):
+    # The end tables hold the first two and the last two function layers, so
+    # a dense Phi transforms only between them: twice at (6, 7), one row
+    # alone or 64 rows as one block, and never at (6, 3).
+    rng = np.random.default_rng(7)
+    draws = rng.integers(len(restricted_functions(6)), size=(64, 7))
+    phi_circuit(LONG)   # builds the n = 6 end tables
+    kernel = CountedKernel(qstate._wht_inplace)
+    monkeypatch.setattr(qstate, "_wht_inplace", kernel)
+    phi_circuit(LONG)
+    assert kernel.calls == [(1, 6)] * 2
+    kernel.calls.clear()
+    forrelation.phi_draws(6, draws)
+    assert kernel.calls == [(64, 6)] * 2
+    kernel.calls.clear()
+    phi_circuit(random_instance(6, 3, rng))
+    forrelation.phi_draws(6, draws[:, :3])
+    assert kernel.calls == []
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -513,15 +546,22 @@ def test_a_read_closes_only_the_components_whose_qubits_it_sets():
 # Twice each: every component then shares its block with one other row.
 BATCH = [ONE, SPLIT, ONE, SPLIT]
 GEN = DatasetSpec(6, 7, 2, 2, seed=3)
+# Dense, with k - 5 = 2 Hadamard layers between its end-table rows.
+LONG = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6}, {1, 3}, (), {5})
 
 
 def check_batch_and_gen_raise(kernel):
-    for run in (simulate_reduced_batch, phi_circuits):
-        assert max(kernel_rows(kernel, run, BATCH)) > 1   # a block of rows
-    # Dense rows of all 6 qubits: SPLIT twice, not its 2- and 3-qubit
-    # components, and the first chunk of gen's draws as one block.
-    assert set(kernel_calls(kernel, phi_circuits, [SPLIT, SPLIT])) == {(2, 6)}
+    # The n = 6 end tables are built with the real kernel before it is patched.
+    assert max(kernel_rows(kernel, simulate_reduced_batch, BATCH)) > 1   # a block of rows
+    # Dense, on all 6 qubits: LONG twice as one block of the middle layers,
+    # not its components, LONG alone as one row, and the first chunk
+    # of gen's draws as one block.
+    assert set(kernel_calls(kernel, phi_circuits, [LONG, LONG])) == {(2, 6)}
+    assert kernel_rows(kernel, phi_circuit, LONG) == [1]
     assert kernel_calls(kernel, generate_dataset, GEN)[0] == (CHUNK_MIN, 6)
+    # Built anew, the end tables go through the kernel, one row per function.
+    forrelation._end_tables.cache_clear()
+    assert kernel_calls(kernel, phi_circuit, SPLIT)[0] == (len(restricted_functions(6)), 6)
 
 
 def test_hadamard_kernel_norm_drift_raises(monkeypatch):
@@ -563,6 +603,7 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
     def poisoned(amp, n):
         amp[:] = np.nan
 
+    phi_circuit(LONG)   # builds the n = 6 end tables
     kernel = CountedKernel(poisoned)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
