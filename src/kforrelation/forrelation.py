@@ -277,16 +277,6 @@ def _checked_phi(value: float) -> float:
 # simulator.
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return (v & 1).astype(bool)
-
-
 def phi_bruteforce(inst: ForrelationInstance) -> float:
     """Phi by direct summation over all 2^(k*n) index tuples.
 
@@ -301,13 +291,6 @@ def phi_bruteforce(inst: ForrelationInstance) -> float:
             f"brute force is capped at k*n <= {BRUTE_FORCE_MAX_BITS} total bits, got {total_bits}"
         )
     n_mask = (1 << n) - 1
-    f_masks = []
-    for f in inst.functions:
-        m = 0
-        for b in f.bits:
-            m |= 1 << (b - 1)
-        f_masks.append(m)
-
     size = 1 << total_bits
     total = 0
     chunk = BRUTE_FORCE_CHUNK
@@ -315,13 +298,13 @@ def phi_bruteforce(inst: ForrelationInstance) -> float:
         stop = min(start + chunk, size)
         t = np.arange(start, stop, dtype=np.int64)
         xs = [(t >> (i * n)) & n_mask for i in range(k)]
-        neg = np.zeros(t.shape, dtype=bool)
-        for xi, mask in zip(xs, f_masks):
-            if mask:
-                neg ^= (xi & mask) == mask
+        neg = np.zeros(t.shape, dtype=np.uint8)   # bit 0: the summand is -1
+        for xi, f in zip(xs, inst.functions):
+            if f.mask:
+                neg ^= (xi & f.mask) == f.mask
         for i in range(k - 1):
-            neg ^= _parity(xs[i] & xs[i + 1])
-        total += (stop - start) - 2 * int(np.count_nonzero(neg))
+            neg ^= np.bitwise_count(xs[i] & xs[i + 1])
+        total += (stop - start) - 2 * int(np.count_nonzero(neg & 1))
     return _checked_phi(total / math.sqrt(float(1 << ((k + 1) * n))))
 
 

@@ -27,11 +27,9 @@ one product with a row of the sign table.
 Two ways to run a circuit share that kernel.  run_sign_circuit runs
 forrelation circuits of sign masks with exact arithmetic and one rounding
 left to the caller; every reduced simulation uses it.  collapse_layers
-first drops the identity layers of a circuit, and circuits of the same
-width and collapsed shape run together, as the rows of one block, with one
-+-1 transform, one gather of signs and one per-row norm check per layer
-(a circuit may also keep its identity layers, one flip on mask 0 each, so
-that all circuits of one length share a shape).  Forrelation reads Phi at
+first drops the identity layers of a circuit, and the runner takes one
+such program alone, or several of the same width and collapsed shape as
+the rows of one block, through one layer loop.  Forrelation reads Phi at
 six qubits or fewer off exact end tables instead, built with the same
 kernel and sign table, which also run the layers between the tables.
 The runner hands out plain float64 rows: it fills its first Hadamard
@@ -47,6 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -280,7 +279,7 @@ def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
     one more Hadamard layer ends the circuit.  Around a zero mask the two
     Hadamard layers cancel, so the flips on either side of it have no layer
     between them, and a flip before the first applied layer acts on |0...0>
-    and is dropped.  Two circuits with the same qubit count, len(flips) and
+    and is dropped.  Programs with the same qubit count, len(flips) and
     open_last run as rows of one block in run_sign_circuit.
     """
     flips: list[list[int]] = []
@@ -297,86 +296,69 @@ def collapse_layers(masks: Sequence[int]) -> tuple[list[list[int]], bool]:
     return flips, pending
 
 
-def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]] | np.ndarray,
+def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
                      open_last: bool) -> tuple[list[np.ndarray], int, float]:
-    """Run B circuits on m qubits, all with the same number of applied
-    Hadamard layers and the same open_last, as the rows of one (B, 2^m)
-    block.  A circuit is the masks flipped after each applied layer: as
-    collapse_layers gives them, or one mask per layer with 0 as the
-    identity; programs may also be a (B, layers, F) int array, 0-padded.
+    """Run B >= 1 programs on m qubits, as collapse_layers gives them, all
+    with the same number of applied Hadamard layers and the same open_last,
+    through one layer loop.  A lone program runs on one init_zero vector; a
+    block runs as one (B, 2^m) array, whose rows are views of it, and pads
+    each layer's masks with mask 0, the identity, so that a flip is one
+    gather of sign-table rows.  Both give the same bits.
 
     Returns (rows, e, scale): rows[i], a float64 array of length 2^m, is
-    row i of the block (a view, so the block lives as long as any row), and
-    circuit i's amplitudes are the closed row's entries divided by sqrt(2^e),
-    with e = J*m mod 2 for the J Hadamard layers of the circuit, a factor
-    left for the caller to apply with one rounding.  When open_last is true
-    the last Hadamard layer is left open: a row holds the amplitudes before
-    it, scale is its rescale, and close_layer applies it.  The closed index
-    0 is scale times the sum of the row, which adds the terms row 0 of the
-    transform adds, so it is exact whenever the transform is.  scale is 0.0
-    when the circuits end on a flip, with no layer open.
+    circuit i's row, and its amplitudes are the closed row's entries
+    divided by sqrt(2^e), with e = J*m mod 2 for the J Hadamard layers of
+    the circuit, a factor left for the caller to apply with one rounding.
+    When open_last is true the last Hadamard layer is left open: a row
+    holds the amplitudes before it, scale is its rescale, and close_layer
+    applies it.  The closed index 0 is scale times the sum of the row,
+    which adds the terms row 0 of the transform adds, so it is exact
+    whenever the transform is.  scale is 0.0 when the circuits end on a
+    flip, with no layer open.
 
     The Hadamard layers run unnormalised, and applied layer j is rescaled
     by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
     sqrt(2) at any k and each stays an exact dyadic rational while its
     numerator fits in 53 bits.  The first applied layer acts on |0...0>, so
     it is filled in as the uniform vector; each later one is one +-1
-    transform of the whole block.  Each flip is an exact -1 on the entries
-    its mask selects.  After each layer's flips the norm of every row is
-    checked against NORM_TOL, before the rows are returned.
-
-    A single circuit (B = 1) runs on one init_zero vector's array instead:
-    the block's per-call numpy overhead made a batch of one slower than that.
-    Both loops apply the same exact operations, so they give the same bits.
+    transform.  Each flip is an exact -1 on the entries its mask selects.
+    After each layer's flips the norm of every row is checked against
+    NORM_TOL, before the rows are returned.
     """
-    layers = len(programs[0])
-    norms: list[float] = []   # sum |a|^2 after each layer's flips, over the value it should have
-    if len(programs) == 1:
-        amp = init_zero(m).amplitudes
-        # Layer j's rescale and its norm's exact value depend on j's parity alone.
-        scales, wants = (_layer_scale(0, m), _layer_scale(1, m)), (2.0 ** (m % 2), 1.0)
-        for j, masks in enumerate(programs[0]):
-            if j:
-                _wht_inplace(amp, m)
-                amp *= scales[j & 1]
-            else:
-                amp.fill(scales[0])
-            for mask in masks:
-                _flip_inplace(amp, m, int(mask))
-            norms.append(amp.dot(amp) / wants[j & 1])
-        rows = [amp]
+    lone = len(programs) == 1
+    if lone:
+        amp, columns = init_zero(m).amplitudes, programs[0]
     else:
-        if not isinstance(programs, np.ndarray):   # pad every layer's masks with 0, the identity
-            width = max((len(masks) for p in programs for masks in p), default=0)
-            programs = np.array([[[*masks, *[0] * (width - len(masks))] for masks in p] for p in programs])
-        rows = _run_block(m, programs, norms)
+        _check_capacity(m)
+        amp = np.zeros((len(programs), 1 << m))
+        amp[:, 0] = 1.0
+        columns = [np.array(list(zip_longest(*masks, fillvalue=0))) for masks in zip(*programs)]
+    norms: list[float] = []   # sum |a|^2 after each layer's flips, over the value it should have
+    for j, masks in enumerate(columns):
+        if j:
+            _wht_inplace(amp, m)
+            amp *= _layer_scale(j, m)
+        else:
+            amp.fill(_layer_scale(0, m))
+        for mask in masks:
+            if lone:
+                _flip_inplace(amp, m, mask)
+            elif m <= SIGN_TABLE_QUBITS:
+                amp *= _sign_table(m).take(mask, axis=0)
+            else:
+                for row, one in zip(amp, mask.tolist()):
+                    _flip_inplace(row, m, one)
+        want = 2.0 ** ((j + 1) * m % 2)
+        if lone:
+            norms.append(amp.dot(amp) / want)
+        else:
+            norms.extend((np.einsum("ij,ij->i", amp, amp) / want).tolist())
     _check_norms(norms)
+    layers = len(columns)
+    rows = [amp] if lone else list(amp)
     if not open_last:
         return rows, layers * m % 2, 0.0
     return rows, (layers + 1) * m % 2, _layer_scale(layers, m)
-
-
-def _run_block(m: int, programs: np.ndarray, norms: list[float]) -> list[np.ndarray]:
-    """run_sign_circuit's layer loop on the rows of one block: one fill,
-    +-1 transform, rescale and per-row norm per layer, and per column of its
-    (B, F) masks one flip per row, a sign-table gather or row by row."""
-    _check_capacity(m)
-    block = np.zeros((len(programs), 1 << m))
-    block[:, 0] = 1.0
-    for j in range(programs.shape[1]):
-        if j:
-            _wht_inplace(block.reshape(-1), m)
-            block *= _layer_scale(j, m)
-        else:
-            block.fill(_layer_scale(0, m))
-        for masks in programs[:, j].T:
-            if m <= SIGN_TABLE_QUBITS:
-                block *= _sign_table(m).take(masks, axis=0)
-            else:
-                for row, mask in zip(block, masks.tolist()):
-                    _flip_inplace(row, m, mask)
-        norms.extend((np.einsum("ij,ij->i", block, block) / 2.0 ** ((j + 1) * m % 2)).tolist())
-    return list(block)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ import pytest
 
 from kforrelation.forrelation import (
     ForrelationInstance,
-    _parity,
     phi_bruteforce,
     phi_circuit,
     phi_circuits,
@@ -52,13 +51,6 @@ def test_naive_matches_both_paths_random(seed):
         expected = phi_naive(inst)
         assert phi_bruteforce(inst) == pytest.approx(expected, abs=1e-13)
         assert phi_circuit(inst) == pytest.approx(expected, abs=1e-10)
-
-
-def test_parity_helper_against_popcount():
-    rng = np.random.default_rng(4)
-    v = rng.integers(0, 1 << 24, size=4096, dtype=np.int64)
-    expected = np.array([bin(int(x)).count("1") % 2 for x in v], dtype=bool)
-    assert np.array_equal(_parity(v), expected)
 
 
 def test_bruteforce_chunk_independence(monkeypatch):

@@ -201,33 +201,23 @@ def test_dense_rows_run_up_to_k_n_53_and_fall_back_past_it(monkeypatch):
 def test_runner_row_is_the_same_alone_and_in_a_block(m, open_last):
     # One collapsed program run alone and as row 1 of a block of three (the
     # other rows flip other masks): the same bits, the same e and scale, and
-    # every row a plain float64 array of 2^m entries.  At odd m the layer
-    # rescale alternates between 2^-floor(m/2) and 2^-ceil(m/2).
+    # every row a plain float64 array of 2^m entries.  The programs flip two
+    # masks per layer; then one to three, which the block pads with mask 0;
+    # then none, with no layers, which leaves every row |0...0>.  At odd m
+    # the layer rescale alternates between 2^-floor(m/2) and 2^-ceil(m/2).
     rng = np.random.default_rng(m)
-    programs = [[[int(mask) for mask in rng.integers(1, 1 << m, size=2)] for _ in range(3)] for _ in range(3)]
-    alone, e, scale = qstate.run_sign_circuit(m, programs[1:2], open_last)
-    block, e_block, scale_block = qstate.run_sign_circuit(m, programs, open_last)
-    assert alone[0].tobytes() == block[1].tobytes()
-    assert (e, scale) == (e_block, scale_block) and bool(scale) == open_last
-    for row in alone + block:
-        assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (1 << m,)
-
-
-@pytest.mark.parametrize("m", [3, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
-def test_runner_takes_a_zero_padded_int_array_as_its_nested_lists(m):
-    # One to three masks per layer, as nested lists and as the (B, layers,
-    # F) int array padded with 0: the same bits, e and scale, for one row
-    # alone and for the block.
-    rng = np.random.default_rng(m)
-    programs = [[[int(x) for x in rng.integers(1, 1 << m, size=int(rng.integers(1, 4)))] for _ in range(4)]
-                for _ in range(3)]
-    width = max(len(masks) for program in programs for masks in program)
-    array = np.array([[masks + [0] * (width - len(masks)) for masks in program] for program in programs])
-    for rows in (slice(1, 2), slice(None)):
-        lists, e, scale = qstate.run_sign_circuit(m, programs[rows], True)
-        ints, e_ints, scale_ints = qstate.run_sign_circuit(m, array[rows], True)
-        assert [row.tobytes() for row in lists] == [row.tobytes() for row in ints]
-        assert (e, scale) == (e_ints, scale_ints)
+    two = [[[int(mask) for mask in rng.integers(1, 1 << m, size=2)] for _ in range(3)] for _ in range(3)]
+    ragged = [[[int(mask) for mask in rng.integers(1, 1 << m, size=int(rng.integers(1, 4)))] for _ in range(4)]
+              for _ in range(3)]
+    assert any(len({len(p[j]) for p in ragged}) > 1 for j in range(4))   # some layer is padded
+    for programs in (two, ragged, [[], [], []]):
+        alone, e, scale = qstate.run_sign_circuit(m, programs[1:2], open_last)
+        block, e_block, scale_block = qstate.run_sign_circuit(m, programs, open_last)
+        assert alone[0].tobytes() == block[1].tobytes()
+        assert (e, scale) == (e_block, scale_block) and bool(scale) == open_last
+        for row in alone + block:
+            assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (1 << m,)
+    assert all(row.tolist() == [1.0] + [0.0] * ((1 << m) - 1) for row in block)   # the zero-layer block
 
 
 @SETTINGS
