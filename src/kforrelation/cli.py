@@ -153,8 +153,10 @@ def _sweep_too_large(n: int, k: int) -> bool:
 def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
     """phi_bruteforce vs phi_circuit and vs phi_circuits over all of the
     instances at once: exhaustive at (n=2,k=3) and (n=3,k=3) unless scoped,
-    plus randomised draws with n <= 4 and k*n <= 16.  All three round the
-    same exact value once, so they must agree bit for bit."""
+    plus randomised draws with n <= 4 and k*n <= 16, which take the dense
+    tables of all n qubits, then up to 4 at (7,3), which take them per
+    component or the runner.  All three round the same exact value once, so
+    they must agree bit for bit."""
     insts = []
     sweeps = [(n, k)] if n is not None and k is not None else [(2, 3), (3, 3)]
     for sn, sk in sweeps:
@@ -167,6 +169,7 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
         rn = int(rng.integers(1, 5))
         rk = int(rng.integers(1, 16 // rn + 1))
         insts.append(forrelation.random_instance(rn, rk, rng))
+    insts += [forrelation.random_instance(7, 3, rng) for _ in range(min(4, trials))]
     max_dev = 0.0
     for inst, batched in zip(insts, forrelation.phi_circuits(insts)):
         exact = forrelation.phi_bruteforce(inst)

@@ -14,10 +14,11 @@ and lies in [-1, 1].  This module provides:
   and random_instance, the uniform draw over it,
 * phi_bruteforce  - exhaustive 2^(kn)-term sum (the oracle path),
 * phi_circuit     - exact statevector simulation of U_F, read off dense
-  end tables of all n qubits when that is exact (n <= 6, k*n <= 53), else
-  one connected component of the function supports at a time
-  (simulate_reduced), equal to phi_bruteforce bit for bit; phi_circuits
-  and phi_draws (an int array) give its bits in bulk, one block per (n, k),
+  end tables of all n qubits, or of each connected component of the
+  function supports, wherever that is exact (at most 6 qubits, k times
+  their count <= 53), the other components run by the runner, equal to
+  phi_bruteforce bit for bit; phi_circuits and phi_draws (an int array)
+  give its bits in bulk, one block per shape,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -48,15 +49,18 @@ shape (qstate.collapse_layers) and runs each group as the rows of one
 block, then reads every value through the same Component and ReducedState
 code, so the one rounding happens in one place.
 
-Dense end tables for Phi.  Up to SIGN_TABLE_QUBITS (6) qubits a state of
-all n qubits has at most 64 entries, so the component split saves no
-arithmetic.  There Phi is 1^T D_k S ... S D_1 1 over 2^((k+1)n/2), for S
-the +-1 Sylvester matrix and D_f the flip of f, and the first two and the
-last two functions take only N^2 values (N = 42 at n = 6): _end_tables
-holds their exact states, so _dense_phis dots two table rows around the
-k-5 Hadamard layers between them, for one instance or a block; phi_draws
-reads a (B, k) int array of function indices and builds no instance.  The
-sum is exact while k*n <= 53 (see _runs_dense), and rounded once.
+Dense end tables for Phi.  On m <= SIGN_TABLE_QUBITS (6) qubits, <0|U|0>
+is 1^T D_k S ... S D_1 1 over 2^((k+1)m/2), for S the +-1 Sylvester
+matrix and D_f the flip of f, and the first two and the last two functions
+take only N^2 values (N = 42 at m = 6): _end_tables holds their exact
+states, so _dense_totals dots two table rows around the k-5 Hadamard
+layers between them, for one instance or a block.  The sum is an exact
+integer while k*m <= 53 (see _runs_dense).  Up to 6 qubits in all the
+component split saves no arithmetic, so Phi reads the tables of all n
+qubits, rounded once (_dense_phis); phi_draws reads a (B, k) int array of
+function indices and builds no instance.  Past that, each component of m
+qubits that _runs_dense contributes its exact total and each other one its
+runner entry, and Phi is their exact product rounded once (_phi_of).
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -221,10 +225,11 @@ class EncodedSample:
             raise MalformedSampleError(
                 f"expected {self.n * self.k} bits for n={self.n}, k={self.k}, got {len(self.bits)}"
             )
-        if not all(b in (0, 1) for b in self.bits):
+        bits, n = self.bits, self.n
+        if bits.count(0) + bits.count(1) != len(bits):   # compares as `b in (0, 1)` does, unhashable b too
             raise MalformedSampleError("sample bits must be 0 or 1")
         for i in range(self.k):
-            if sum(self.block(i)) > 3:
+            if sum(bits[i * n:(i + 1) * n]) > 3:
                 raise MalformedSampleError(f"block {i} has more than 3 ones")
 
     def block(self, i: int) -> tuple[int, ...]:
@@ -400,6 +405,14 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2_NUM, _SQRT2_DEN = _SQRT2.as_integer_ratio()
 
 
+def _rounded(num: int, den: int, e: int) -> float:
+    """num / den / sqrt(2^e) by the float sqrt(2) and a power of two in one
+    exact division, rounded once: phi_bruteforce's bits, at any n and num."""
+    if e % 2:
+        num, den = num * _SQRT2_DEN, den * _SQRT2_NUM
+    return num / (den << e // 2)
+
+
 @dataclass(frozen=True)
 class ReducedState:
     """U_F|0...0> of an n-qubit instance, held as the product of its
@@ -436,14 +449,8 @@ class ReducedState:
         return num, den, e
 
     def amplitude(self, z: int) -> float:
-        """<z| U_F |0...0>: the exact product divided by the float sqrt(2) for
-        an odd exponent, rounded once, then by an exact power of two.  That
-        gives the bits phi_bruteforce gets by dividing by sqrt(2^e) in one
-        step, without overflow at any n."""
-        num, den, e = self._entry(z)
-        if e % 2:
-            num, den = num * _SQRT2_DEN, den * _SQRT2_NUM
-        return math.ldexp(num / den, -(e // 2))
+        """<z| U_F |0...0>: the exact product, rounded once (_rounded)."""
+        return _rounded(*self._entry(z))
 
     def probability(self, z: int) -> float:
         """|<z| U_F |0...0>|^2: one rounding of the exact square, so a
@@ -457,52 +464,42 @@ def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     qstate.run_sign_circuit, with each component's last Hadamard layer left
     open until a read needs it.  The statevector cap applies to each
     component's qubit count, not to n or to the support union."""
-    comps = []
-    for part, support, flips, open_last in _programs(inst):
-        rows, e, scale = run_sign_circuit(len(support), [flips], open_last)
-        comps.append(Component(support, rows[0], e, scale, part))
-    return _reduced_state(inst, comps)
+    return _reduced_state(inst, [_run(*program) for program in _dispatch(inst, tables=False)[1]])
+
+
+def _run(part: int, support: tuple[int, ...], flips: list[list[int]], open_last: bool) -> Component:
+    """The Component of one _dispatch program, as a lone row: a block row costs more."""
+    rows, e, scale = run_sign_circuit(len(support), [flips], open_last)
+    return Component(support, rows[0], e, scale, part)
 
 
 def simulate_reduced_batch(insts: Iterable[ForrelationInstance]) -> list[ReducedState]:
     """simulate_reduced of each instance, with the components of all of
-    them grouped by qubit count and collapsed program shape (applied
-    Hadamard layers, open last layer) and each group run by one
-    run_sign_circuit call, as the rows of one block.  Every value is read
-    through the same Component and ReducedState code.  simulate_reduced
-    does not go through the grouping: for one instance it cost more than
-    it saved."""
-    groups: dict[tuple[int, int, bool], list] = {}   # (qubits, layers, open_last) -> programs
-    layout = []   # per instance: (inst, [(mask, support, group, row) per component])
-    for inst in insts:
-        parts = []
-        for part, support, flips, open_last in _programs(inst):
-            group = (len(support), len(flips), open_last)
-            rows = groups.setdefault(group, [])
-            parts.append((part, support, group, len(rows)))
-            rows.append(flips)
-        layout.append((inst, parts))
-    runs = {group: run_sign_circuit(group[0], rows, group[2]) for group, rows in groups.items()}
-    out = []
-    for inst, parts in layout:
-        comps = []
-        for part, support, group, i in parts:
-            rows, e, scale = runs[group]
-            comps.append(Component(support, rows[i], e, scale, part))
-        out.append(_reduced_state(inst, comps))
+    them run by _run_components and read through the same Component and
+    ReducedState code."""
+    layout = [(inst, _dispatch(inst, tables=False)[1]) for inst in insts]
+    comps = iter(_run_components([program for _, programs in layout for program in programs]))
+    return [_reduced_state(inst, [next(comps) for _ in programs]) for inst, programs in layout]
+
+
+def _run_components(programs: Sequence[tuple]) -> list[Component]:
+    """A Component per (mask, qubits, flips, open_last) of _dispatch, in
+    order; those of one (qubits, applied layers, open_last) run as the rows
+    of one run_sign_circuit block."""
+    out: list = [None] * len(programs)
+    for (m, _, open_last), idx in _grouped((len(p[1]), len(p[2]), p[3]) for p in programs).items():
+        rows, e, scale = run_sign_circuit(m, [programs[i][2] for i in idx], open_last)
+        for i, row in zip(idx, rows):
+            out[i] = Component(programs[i][1], row, e, scale, programs[i][0])
     return out
 
 
-def _programs(inst: ForrelationInstance):
-    """Per component of inst: its qubit mask, its qubits, then
-    qstate.collapse_layers of its circuit on them (functions outside it act
-    as the identity)."""
-    for part in _parts([f.mask for f in inst.functions]):
-        support = _qubits(part)
-        bit = {q: 1 << i for i, q in enumerate(support)}
-        flips, open_last = collapse_layers([sum(map(bit.__getitem__, f.bits)) if f.mask & part else 0
-                                            for f in inst.functions])
-        yield part, support, flips, open_last
+def _grouped(keys: Iterable) -> dict:
+    """The positions of each distinct key, in the order keys first appear."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _reduced_state(inst: ForrelationInstance, comps: list[Component]) -> ReducedState:
@@ -519,35 +516,81 @@ def simulate_instance(inst: ForrelationInstance) -> StateVector:
 
 def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit: read off the
-    dense end tables when _runs_dense(n, k), else simulated one connected
-    component of the supports at a time (simulate_reduced)."""
-    if _runs_dense(inst.n, inst.k):
-        index = _end_tables(inst.n)[2]
-        return _dense_phis(inst.n, [index[f.mask] for f in inst.functions])[0]
-    return _checked_phi(simulate_reduced(inst).amplitude(0))
+    end tables of all n qubits when _runs_dense(n, k); else the product of
+    one exact factor per component of the supports, off the end tables of
+    its m qubits or by the runner (_dispatch), rounded once (_phi_of)."""
+    n, k = inst.n, inst.k
+    if _runs_dense(n, k):
+        index = _end_tables(n)[2]
+        return _dense_phis(n, [index[f.mask] for f in inst.functions])[0]
+    tables, programs = _dispatch(inst)
+    return _phi_of(inst, [(m, int(_dense_totals(m, cols))) for m, cols in tables], [_run(*p) for p in programs])
 
 
 def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
-    """[phi_circuit(x) for x in insts], bit for bit.  The instances are
-    grouped by (n, k): each group that _runs_dense is one block of the dense
-    evaluator, and all the others go through one simulate_reduced_batch.
-    Any instance's error raises for the whole list."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, inst in enumerate(insts):
-        groups.setdefault((inst.n, inst.k), []).append(i)
+    """[phi_circuit(x) for x in insts], bit for bit.  Each (n, k) that
+    _runs_dense is one block of the dense evaluator; the components of all
+    the other instances go through _table_totals and _run_components at
+    once.  Any instance's error raises for the whole list."""
     out = [0.0] * len(insts)
-    rest = []
-    for (n, k), idx in groups.items():
-        if _runs_dense(n, k):
-            index = _end_tables(n)[2]
-            draws = np.array([[index[f.mask] for f in insts[i].functions] for i in idx])
-            for i, phi in zip(idx, _dense_phis(n, draws.T)):
-                out[i] = phi
-        else:
-            rest += idx
-    for i, red in zip(rest, simulate_reduced_batch([insts[i] for i in rest])):
-        out[i] = _checked_phi(red.amplitude(0))
+    parts = {}   # per instance past the whole-register tables: its _dispatch
+    for (n, k), idx in _grouped((inst.n, inst.k) for inst in insts).items():
+        if not _runs_dense(n, k):
+            parts.update((i, _dispatch(insts[i])) for i in idx)
+            continue
+        index = _end_tables(n)[2]
+        draws = np.array([[index[f.mask] for f in insts[i].functions] for i in idx])
+        for i, phi in zip(idx, _dense_phis(n, draws.T)):
+            out[i] = phi
+    totals = iter(_table_totals([table for tables, _ in parts.values() for table in tables]))
+    comps = iter(_run_components([program for _, programs in parts.values() for program in programs]))
+    for i, (tables, programs) in parts.items():
+        out[i] = _phi_of(insts[i], [next(totals) for _ in tables], [next(comps) for _ in programs])
     return out
+
+
+def _dispatch(inst: ForrelationInstance, tables: bool = True) -> tuple[list, list]:
+    """inst's components by evaluator, with the functions' masks relabelled
+    to a component's qubits (bit i for its (i+1)-th, 0 outside it): (m, the
+    masks' end-table indices) per one of m qubits that _runs_dense, if
+    tables, and (mask, qubits, collapse_layers of the masks) per other."""
+    out: tuple[list, list] = ([], [])
+    for part in _parts([f.mask for f in inst.functions]):
+        local = []
+        for f in inst.functions:   # a function meets one component, and lies in it
+            mask = 0
+            if f.mask & part:
+                for b in f.bits:   # qubit b is bit i, for the i qubits of part below it
+                    mask |= 1 << (part & ((1 << (b - 1)) - 1)).bit_count()
+            local.append(mask)
+        m = part.bit_count()
+        if tables and _runs_dense(m, inst.k):
+            out[0].append((m, list(map(_end_tables(m)[2].__getitem__, local))))
+        else:
+            out[1].append((part, _qubits(part), *collapse_layers(local)))
+    return out
+
+
+def _table_totals(tables: Sequence[tuple[int, list[int]]]) -> list[tuple[int, int]]:
+    """(m, exact int _dense_totals) per (m, indices), one block per (m, k)."""
+    out: list = [None] * len(tables)
+    for (m, _), idx in _grouped((m, len(cols)) for m, cols in tables).items():
+        for i, total in zip(idx, _dense_totals(m, np.array([tables[i][1] for i in idx]).T).tolist()):
+            out[i] = m, int(total)
+    return out
+
+
+def _phi_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: list[Component]) -> float:
+    """Phi from the (m, total) of each table component, worth total over
+    sqrt(2^((k+1)m)), the runner's Components and, at even k, 2^(-1/2) per
+    free qubit: the exact product, rounded once, as ReducedState rounds."""
+    num, den, e, covered = 1, 1, 0, 0
+    for m, total in tables:
+        num, e, covered = num * total, e + (inst.k + 1) * m, covered + m
+    for comp in comps:
+        p, d = comp.entry(0).as_integer_ratio()
+        num, den, e, covered = num * p, den * d, e + comp.exponent, covered + len(comp.support)
+    return _checked_phi(_rounded(num, den, e + (inst.n - covered) * (inst.k % 2 == 0)))
 
 
 def phi_draws(n: int, draws: np.ndarray) -> list[float]:
@@ -559,13 +602,13 @@ def phi_draws(n: int, draws: np.ndarray) -> list[float]:
 
 
 def _runs_dense(n: int, k: int) -> bool:
-    """Whether Phi of an (n, k) instance is read off the dense end tables: n
-    is within the sign table, and k*n fits float64's significand.  Each
-    table entry and each vector between the tables is an integer vector,
-    whose largest entry j +-1 transforms raise to at most 2^(j*n).  The
-    final dot product pairs b <= 2 transforms with the other k-1-b, so its
-    terms and partial sums are integers of at most 2^(k*n): exact while
-    k*n <= 53."""
+    """Whether Phi of an (n, k) instance, or the factor of an n-qubit
+    component of a k-function one, is read off the dense end tables: n is
+    within the sign table, and k*n fits float64's significand.  Each table
+    entry and each vector between the tables is an integer vector, whose
+    largest entry j +-1 transforms raise to at most 2^(j*n).  The final dot
+    product pairs b <= 2 transforms with the other k-1-b, so its terms and
+    partial sums are integers of at most 2^(k*n): exact while k*n <= 53."""
     return n <= SIGN_TABLE_QUBITS and k * n <= sys.float_info.mant_dig
 
 
@@ -591,15 +634,14 @@ def _end_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return one, two, tuple(index.tolist())
 
 
-def _dense_phis(n: int, cols: Sequence[int] | np.ndarray) -> list[float]:
-    """Phi of instances of n qubits and one k, given by columns of indices
-    into restricted_functions(n): k ints for one instance, whose table rows
-    are views, or k int arrays for a block, one gather per table end.  With
-    S and D_f symmetric, 1^T D_k S ... S D_1 1 is the end row of (f_k,
-    f_(k-1)) dotted with that of (f_1, f_2) carried through D_3 S ... S
-    D_(k-2), a norm check per row after each of the k-5 transforms (k < 5
-    takes one-function ends, and k <= 2 reads index 0).  The exact sum is
-    rounded once, as ReducedState.amplitude rounds."""
+def _dense_totals(n: int, cols: Sequence[int] | np.ndarray):
+    """The exact integer 1^T D_k S ... S D_1 1 on n qubits, as float64, for
+    columns of indices into restricted_functions(n): k ints for one
+    instance, on views of table rows, or k int arrays for a block, one
+    gather per table end.  With S and D_f symmetric, it is the end row of
+    (f_k, f_(k-1)) dotted with that of (f_1, f_2) carried through D_3 S ...
+    S D_(k-2), a norm check per row after each of the k-5 transforms (k < 5
+    takes one-function ends, and k <= 2 reads index 0)."""
     one, two, _ = _end_tables(n)
     masks, signs, k = function_tables(n)[0], qstate._sign_table(n), len(cols)
     if isinstance(cols, np.ndarray):   # a block: rows are gathered, and dotted row by row
@@ -610,19 +652,24 @@ def _dense_phis(n: int, cols: Sequence[int] | np.ndarray) -> list[float]:
     def end(fs):   # the table rows of the first one or two functions of fs
         return one[fs[0]] if len(fs) == 1 else two[fs[0] * len(one) + fs[1]]
     if k <= 2:
-        total = end(cols)[..., 0]
-    else:
-        left, right = (2 if k > 3 else 1), (2 if k > 4 else 1)
-        v = end(cols[:left]) * signs[masks[cols[left]]]
-        for j in range(left + 1, k - right):
-            qstate._wht_inplace(v, n)
-            v *= signs[masks[cols[j]]]
-            qstate._check_norms(listed(dot(v, v) / 2.0 ** ((j + 1) * n)))
-        total = dot(end(cols[:-right - 1:-1]), v)
-    phis = total * 2.0 ** -((k + 1) * n // 2)
+        return end(cols)[..., 0]
+    left, right = (2 if k > 3 else 1), (2 if k > 4 else 1)
+    v = end(cols[:left]) * signs[masks[cols[left]]]
+    for j in range(left + 1, k - right):
+        qstate._wht_inplace(v, n)
+        v *= signs[masks[cols[j]]]
+        qstate._check_norms(listed(dot(v, v) / 2.0 ** ((j + 1) * n)))
+    return dot(end(cols[:-right - 1:-1]), v)
+
+
+def _dense_phis(n: int, cols: Sequence[int] | np.ndarray) -> list[float]:
+    """Phi of instances of all n qubits, _dense_totals over 2^((k+1)n/2),
+    rounded once per instance as _rounded rounds, vectorised for a block."""
+    k = len(cols)
+    phis = _dense_totals(n, cols) * 2.0 ** -((k + 1) * n // 2)
     if (k + 1) * n % 2:
         phis /= _SQRT2
-    return [_checked_phi(phi) for phi in listed(phis)]
+    return [_checked_phi(phi) for phi in (phis.tolist() if isinstance(cols, np.ndarray) else [float(phis)])]
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ forrelation circuits of sign masks with exact arithmetic and one rounding
 left to the caller; every reduced simulation uses it.  collapse_layers
 first drops the identity layers of a circuit, and the runner takes one
 such program alone, or several of the same width and collapsed shape as
-the rows of one block, through one layer loop.  Forrelation reads Phi at
-six qubits or fewer off exact end tables instead, built with the same
-kernel and sign table, which also run the layers between the tables.
+the rows of one block, through one layer loop.  Forrelation reads Phi's
+factor of six qubits or fewer off exact end tables instead, built with the
+same kernel and sign table, which also run the layers between the tables.
 The runner hands out plain float64 rows: it fills its first Hadamard
 layer in as the uniform vector and leaves its last one open, for
 close_layer to apply when an entry other than index 0 is read.  The Gate

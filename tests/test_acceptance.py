@@ -94,6 +94,20 @@ def test_criterion_4_qsvm_exactness(promise_datasets):
     assert report(4, ok, f"QSVM alpha_dev={alpha_dev:.1e}, exact accuracy {(total - wrong)}/{total}")
 
 
+def test_criterion_4_failure_is_the_negatives_zero_margin(promise_datasets):
+    # Why criterion 4 fails, pinned on its own data: every positive clears
+    # p0 - pz by 0.25, but no negative falls below 0, and the bias is
+    # positive, so a negative with p0 = pz (both 0, generically) goes to +1.
+    gaps = {1: [], -1: []}
+    for spec, samples in promise_datasets:
+        z = kf.negative_target_index(kf.make_negative_sample(spec.n, spec.k, 1, (1, 2, 3)).sample)
+        for s in samples:
+            red = kf.simulate_reduced(kf.decode(s.sample))
+            gaps[s.label].append(red.probability(0) - red.probability(z))
+    assert len(gaps[1]) == len(gaps[-1]) == 108
+    assert min(gaps[1]) >= 0.25 and max(gaps[-1]) <= 0.0 and default_bias() > 0
+
+
 def test_criterion_5_fixed_ansatz_equivalence():
     ok, max_dev = cli.check_ansatz_equivalence(seed=55, trials=200)
     assert report(5, ok, f"fixed-ansatz statevector max_dev={max_dev:.3e}, gate counts exact")

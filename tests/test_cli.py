@@ -204,6 +204,17 @@ def test_verify_oracle_sweep_checks_the_dense_rows(monkeypatch):
         assert max(b for w, b in blocks if w == m) >= rows
 
 
+@pytest.mark.parametrize("trials, wide", [(0, 0), (2, 2), (50, 4)])
+def test_verify_oracle_sweep_checks_up_to_4_draws_past_the_whole_register_tables(monkeypatch, trials, wide):
+    # The (7, 3) draws take the end tables per component, or the runner;
+    # phi_bruteforce sums each of them against both circuit paths.
+    summed = []
+    real = forrelation.phi_bruteforce
+    monkeypatch.setattr(forrelation, "phi_bruteforce", lambda inst: summed.append((inst.n, inst.k)) or real(inst))
+    assert cli.check_oracle_equivalence(seed=3, trials=trials) == (True, 0.0)
+    assert summed.count((7, 3)) == wide and max(n for n, _ in summed[:-wide or None]) <= 4
+
+
 @pytest.mark.parametrize("half", [["--n", "5"], ["--k", "3"]])
 def test_verify_half_given_scope_is_usage_error(half, capsys):
     with pytest.raises(SystemExit) as err:

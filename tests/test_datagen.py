@@ -368,20 +368,21 @@ def spied_chunks(monkeypatch):
 
 
 def test_over_cap_draw_past_the_stop_point_does_not_surface(monkeypatch):
-    # The quota is met at try 5 of a 16-draw chunk whose draw 6 has a
-    # 6-qubit component: above a cap of 5, the batch raises CapacityError,
+    # The quota is met at try 6 of a 16-draw chunk whose draw 7 has a
+    # 7-qubit component, which the runner simulates (narrower ones are read
+    # off end tables): above a cap of 6, the batch raises CapacityError,
     # while the draw-by-draw loop never simulates that draw.
-    spec = DatasetSpec(8, 3, 2, 2, seed=40)
+    spec = DatasetSpec(8, 3, 2, 1, seed=9)
     want = generate_dataset(spec)
     chunks = spied_chunks(monkeypatch)
-    monkeypatch.setattr(qstate, "MAX_QUBITS", 5)
+    monkeypatch.setattr(qstate, "MAX_QUBITS", 6)
     assert generate_dataset(spec) == want
-    assert want[1].tries == 5 and len(chunks) == 1
+    assert want[1].tries == 6 and len(chunks) == 1
     widest = [max(map(len, components(inst))) for inst in chunks[0]]
-    assert max(widest[:5]) <= 5 < widest[5]
-    with pytest.raises(CapacityError, match=rf"1 to 5 qubits, got {widest[5]}$"):
+    assert max(widest[:6]) <= 6 < widest[6]
+    with pytest.raises(CapacityError, match=rf"1 to 6 qubits, got {widest[6]}$"):
         phi_circuits(chunks[0])
-    bigger = DatasetSpec(8, 3, 2, 3, seed=40)   # one more negative: the loop reaches an over-cap draw
+    bigger = DatasetSpec(8, 3, 2, 2, seed=9)   # one more negative: the loop reaches an over-cap draw
     with pytest.raises(CapacityError):
         generate_dataset(bigger)
 

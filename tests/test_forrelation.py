@@ -92,8 +92,21 @@ def test_decode_zero_vector():
 
 
 def test_four_ones_block_rejected():
-    with pytest.raises(MalformedSampleError):
+    with pytest.raises(MalformedSampleError, match="block 0 has more than 3 ones"):
         EncodedSample(4, 1, (1, 1, 1, 1))
+    with pytest.raises(MalformedSampleError, match="block 1 has more than 3 ones"):
+        EncodedSample(4, 2, (1, 1, 1, 0, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("bit", [2, -1, None, "1", float("nan"), [1], {0}])
+def test_a_bit_other_than_0_or_1_is_rejected(bit):
+    # [1] and {0} are unhashable: still a malformed sample, not a TypeError.
+    with pytest.raises(MalformedSampleError, match="sample bits must be 0 or 1"):
+        EncodedSample(2, 1, (0, bit))
+
+
+def test_bits_that_compare_equal_to_0_or_1_are_accepted():
+    assert EncodedSample(2, 2, (True, False, 1.0, np.int64(0))).block(0) == (True, False)
 
 
 def test_roundtrip_exhaustive_small():

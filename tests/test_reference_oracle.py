@@ -13,6 +13,9 @@ import pytest
 
 from kforrelation.forrelation import (
     ForrelationInstance,
+    components,
+    function_of,
+    instance_of,
     phi_bruteforce,
     phi_circuit,
     phi_circuits,
@@ -97,10 +100,19 @@ def exact_index0(inst):
     return sum(amp.tolist())
 
 
-def rounded_phi(total, n, k):
-    """S / sqrt(2^((k+1)n)) correctly rounded; for odd (k+1)n the divisor is
+def exact_cut(inst):
+    """(S, e) with Phi = S / sqrt(2^e) exactly, from U_F run on the union of
+    the supports alone (relabelled 1..|S|): a free qubit ends in |0> at odd
+    k, worth 1, and in |+> at even k, worth 2^-1/2."""
+    support = sorted(set().union(*(f.bits for f in inst.functions))) or [1]
+    label = {q: i + 1 for i, q in enumerate(support)}
+    small = ForrelationInstance(len(support), tuple(function_of(*(label[b] for b in f.bits)) for f in inst.functions))
+    return exact_index0(small), (inst.k + 1) * small.n + (inst.n - small.n) * (inst.k % 2 == 0)
+
+
+def rounded_phi(total, e):
+    """S / sqrt(2^e) correctly rounded; for odd e the divisor is
     2^m fl(sqrt(2)), as phi_bruteforce takes it."""
-    e = (k + 1) * n
     divisor = Fraction(2) ** (e // 2) * (Fraction(math.sqrt(2.0)) if e % 2 else 1)
     return float(Fraction(total) / divisor)
 
@@ -110,7 +122,7 @@ def test_exact_integer_matches_bruteforce_below_the_cap():
     for n, k in ((3, 4), (5, 3), (6, 3), (3, 6)):  # (k+1)n odd, even, even, odd
         for _ in range(6):
             inst = random_instance(n, k, rng)
-            assert rounded_phi(exact_index0(inst), n, k) == phi_bruteforce(inst)
+            assert rounded_phi(exact_index0(inst), (k + 1) * n) == phi_bruteforce(inst)
 
 
 # (9,6), (5,8) and (5,10) have odd (k+1)n, so they read through fl(sqrt(2)).
@@ -122,9 +134,36 @@ def test_circuit_paths_round_the_exact_integer_correctly(n, k):
     rng = np.random.default_rng(100 * n + k)
     insts = [random_instance(n, k, rng) for _ in range(32)]
     totals = [exact_index0(inst) for inst in insts]
-    assert phi_circuits(insts) == [rounded_phi(t, n, k) for t in totals]
+    assert phi_circuits(insts) == [rounded_phi(t, (k + 1) * n) for t in totals]
     draws = np.array([[restricted_functions(n).index(f) for f in inst.functions] for inst in insts])
-    assert phi_draws(n, draws) == [rounded_phi(t, n, k) for t in totals]
+    assert phi_draws(n, draws) == [rounded_phi(t, (k + 1) * n) for t in totals]
     for inst, total in zip(insts, totals):
-        assert phi_circuit(inst) == rounded_phi(total, n, k)
+        assert phi_circuit(inst) == rounded_phi(total, (k + 1) * n)
         assert simulate_reduced(inst).probability(0) == float(Fraction(total * total, 2 ** ((k + 1) * n)))
+
+
+def takes_tables(comp, k):
+    """Whether phi_circuit reads a component of an instance past the
+    whole-register tables off the end tables of its own qubits."""
+    return len(comp) <= 6 and k * len(comp) <= 53
+
+
+# Past the whole-register tables, each component is read off the end tables
+# of its own qubits or, past 6 qubits, run.  (20,3) draws take one or the
+# other, (16,4) draws also take both in one instance and leave free qubits
+# in |+>, and (7,3) is one qubit past the whole-register tables: CHAIN7 is
+# one 7-qubit component, and the rest are summed exhaustively too.
+CHAIN7 = instance_of(7, {1, 2, 3}, {3, 4, 5}, {5, 6, 7})
+
+
+@pytest.mark.parametrize("n,k,count", [(20, 3, 24), (16, 4, 24), (7, 3, 6)])
+def test_component_tables_and_runner_round_the_exact_integer(n, k, count):
+    rng = np.random.default_rng(n * k)
+    insts = [random_instance(n, k, rng) for _ in range(count)] + ([CHAIN7] if n == 7 else [])
+    kinds = {tuple(sorted({takes_tables(c, k) for c in components(inst)})) for inst in insts}
+    assert {(True,), (False,)} <= kinds and ((False, True) in kinds) == (n == 16)
+    expected = [rounded_phi(*exact_cut(inst)) for inst in insts]
+    draws = np.array([[restricted_functions(n).index(f) for f in inst.functions] for inst in insts])
+    assert phi_circuits(insts) == [phi_circuit(inst) for inst in insts] == phi_draws(n, draws) == expected
+    if n * k <= 24:
+        assert expected == [phi_bruteforce(inst) for inst in insts]

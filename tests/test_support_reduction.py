@@ -154,26 +154,36 @@ def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
     assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
 
 
-def reduced_batch_spy(monkeypatch):
-    """The instances handed to each simulate_reduced_batch call, and to
-    simulate_reduced, while the patch is on."""
-    seen, lone = [], []
-    batch, single = forrelation.simulate_reduced_batch, forrelation.simulate_reduced
-    monkeypatch.setattr(forrelation, "simulate_reduced_batch", lambda insts: seen.append(list(insts)) or batch(insts))
-    monkeypatch.setattr(forrelation, "simulate_reduced", lambda inst: lone.append(inst) or single(inst))
-    return seen, lone
+def runner_spy(monkeypatch):
+    """The qubit count of each program run by qstate.run_sign_circuit for
+    forrelation, one entry per row, while the patch is on."""
+    widths = []
+    run = forrelation.run_sign_circuit
+    monkeypatch.setattr(forrelation, "run_sign_circuit",
+                        lambda m, programs, open_last: widths.extend([m] * len(programs)) or run(m, programs, open_last))
+    return widths
+
+
+def runner_widths(insts):
+    """The qubit counts of the components Phi runs: those of instances past
+    the whole-register tables (n > 6 or k*n > 53) that are past the
+    component tables too (m > 6 or k*m > 53)."""
+    return sorted(len(c) for inst in insts if inst.n > qstate.SIGN_TABLE_QUBITS or inst.n * inst.k > 53
+                  for c in components(inst) if len(c) > qstate.SIGN_TABLE_QUBITS or len(c) * inst.k > 53)
 
 
 def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch):
     # Several (n, k) in one list, some wider than the sign table and some
-    # past k*n = 53: every path gives the same bits, and only the groups
-    # that are not dense reach the component batch.
+    # past k*n = 53: every path gives the same bits, and only the components
+    # that fit neither the whole-register nor their own end tables reach the
+    # runner.
     rng = np.random.default_rng(17)
-    shapes = [(6, 7), (3, 5), (8, 2), (6, 9), (4, 3), (1, 5), (6, 7), (10, 2), (5, 10), (3, 18), (4, 3), (2, 10)]
+    shapes = [(6, 7), (3, 5), (8, 2), (6, 9), (4, 3), (1, 5), (6, 7), (10, 2), (5, 10), (3, 18), (4, 3), (2, 10),
+              (20, 3), (16, 4), (7, 3), (8, 7)]
     insts = [random_instance(n, k, rng) for n, k in shapes for _ in range(3)]
-    seen, _ = reduced_batch_spy(monkeypatch)
+    widths = runner_spy(monkeypatch)
     phis = phi_circuits(insts)
-    assert sum(seen, []) == [inst for inst in insts if inst.n > qstate.SIGN_TABLE_QUBITS or inst.n * inst.k > 53]
+    assert sorted(widths) == runner_widths(insts) and widths
     assert phis == [phi_circuit(inst) for inst in insts] == [simulate_reduced(inst).amplitude(0) for inst in insts]
     for inst, phi in zip(insts, phis):
         if inst.n * inst.k <= BRUTE_FORCE_BITS:
@@ -182,18 +192,22 @@ def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch
 
 def test_dense_rows_run_up_to_k_n_53_and_fall_back_past_it(monkeypatch):
     # (6, 8) is k*n = 48: one dense block, and phi_circuit one instance off
-    # the end tables.  (6, 9) is k*n = 54, past float64's significand: the
-    # component path, in a batch and alone.
+    # the end tables.  (6, 9) is k*n = 54, past float64's significand: a
+    # 6-qubit component runs, in a batch and alone, and a narrower one is
+    # read off its own end tables.
     rng = np.random.default_rng(5)
-    seen, lone = reduced_batch_spy(monkeypatch)
+    widths = runner_spy(monkeypatch)
     for k, dense in ((8, True), (9, False)):
-        insts = [random_instance(6, k, rng) for _ in range(4)]
-        seen.clear()
-        lone.clear()
+        insts = [random_instance(6, k, rng) for _ in range(4)] + [instance_of(6, *([{1, 2}, {4, 5, 6}] * 5)[:k])]
+        assert {len(c) for inst in insts for c in components(inst)} >= {2, 3, 6}
+        expected = [] if dense else [6] * sum(len(c) == 6 for inst in insts for c in components(inst))
+        assert runner_widths(insts) == expected
+        widths.clear()
         phis = phi_circuits(insts)
-        assert sum(seen, []) == ([] if dense else insts)
+        assert widths == expected
+        widths.clear()
         assert [phi_circuit(inst) for inst in insts] == phis
-        assert lone == ([] if dense else insts)
+        assert widths == expected
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
@@ -456,6 +470,24 @@ def test_long_circuits_stay_in_range(inst):
     assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
 
 
+def test_products_of_many_table_components_stay_in_float_range():
+    # 26 one-qubit components at k = 53: qubit q sees H^(2q) Z H^(54-2q),
+    # even counts of layers, worth exactly 1 (a total of 2^27).  Then each
+    # odd position flips too: a qubit flipped at two of them is worth 1, and
+    # a CZ on a pair of its own 1/2.  The exact product of the totals is
+    # 2^1106, past the float range, so it must never be a float.
+    funcs = [CONSTANT] * 53
+    funcs[1::2] = [function_of(q) for q in range(1, 27)]
+    inst = ForrelationInstance(26, tuple(funcs))
+    assert list(map(len, components(inst))) == [1] * 26
+    assert phi_circuit(inst) == phi_circuits([inst])[0] == simulate_reduced(inst).amplitude(0) == 1.0
+    odd = [function_of(27 + j // 2) for j in range(26)] + [function_of(40, 41)]
+    funcs[::2] = odd
+    inst = ForrelationInstance(41, tuple(funcs))
+    assert list(map(len, components(inst))) == [1] * 39 + [2]
+    assert phi_circuit(inst) == phi_circuits([inst, inst])[1] == simulate_reduced(inst).amplitude(0) == 0.5
+
+
 @pytest.mark.parametrize("inst, largest", [
     (instance_of(14, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14}), 3),
     (instance_of(15, {1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}, {13, 14, 15}, {2, 14}), 6),
@@ -538,6 +570,9 @@ BATCH = [ONE, SPLIT, ONE, SPLIT]
 GEN = DatasetSpec(6, 7, 2, 2, seed=3)
 # Dense, with k - 5 = 2 Hadamard layers between its end-table rows.
 LONG = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6}, {1, 3}, (), {5})
+# Past the whole-register tables: one 6-qubit component, read off the n = 6
+# end tables with the same 2 layers between its rows.
+WIDE_LONG = instance_of(8, {1, 2}, {2, 3, 4}, {4, 5, 6}, {6}, {1, 3}, (), {5})
 
 
 def check_batch_and_gen_raise(kernel):
@@ -545,9 +580,11 @@ def check_batch_and_gen_raise(kernel):
     assert max(kernel_rows(kernel, simulate_reduced_batch, BATCH)) > 1   # a block of rows
     # Dense, on all 6 qubits: LONG twice as one block of the middle layers,
     # not its components, LONG alone as one row, and the first chunk
-    # of gen's draws as one block.
+    # of gen's draws as one block.  WIDE_LONG's component the same way.
     assert set(kernel_calls(kernel, phi_circuits, [LONG, LONG])) == {(2, 6)}
     assert kernel_rows(kernel, phi_circuit, LONG) == [1]
+    assert set(kernel_calls(kernel, phi_circuits, [WIDE_LONG, WIDE_LONG])) == {(2, 6)}
+    assert kernel_rows(kernel, phi_circuit, WIDE_LONG) == [1]
     assert kernel_calls(kernel, generate_dataset, GEN)[0] == (CHUNK_MIN, 6)
     # Built anew, the end tables go through the kernel, one row per function.
     forrelation._end_tables.cache_clear()
@@ -614,9 +651,11 @@ def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
 @SETTINGS
 @given(instances(n=st.integers(9, 40), k=st.integers(1, 4)))
 def test_large_n_phi_equals_scaled_cut_bruteforce(inst):
+    # At odd k the free qubits are worth exactly 1, so the cut's Phi is the same bits.
     small, scale = cut(inst)
     if small.n * small.k <= BRUTE_FORCE_BITS:
         assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), abs=1e-12)
+        assert phi_circuit(inst) == phi_bruteforce(small) or inst.k % 2 == 0
 
 
 # ---------------------------------------------------------------------------
