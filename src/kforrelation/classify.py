@@ -16,10 +16,11 @@ Two classifiers, both using the instance circuit U_F(x) as the feature map
 Every probability is available exactly (statevector) or as a shot-sampled
 frequency; shots=None selects exact mode throughout.  A rule reads one or
 two basis outcomes, whose counts among i.i.d. measurements are exactly
-multinomial, so shot mode is one multinomial draw over them.  Every circuit,
-the kernel's included, is a forrelation instance run by
-forrelation.simulate_reduced one connected component of its function
-supports at a time, so no call builds a 2^n vector.
+multinomial, so shot mode is one multinomial draw over them.  The VQC's p0
+is Phi^2, squared exactly from forrelation.phi_exact for a whole dataset in
+one pass; the QSVM and the kernel read forrelation.simulate_reduced.  Both
+run one connected component of the function supports at a time, so no call
+builds a 2^n vector.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .datagen import NEGATIVE_PHI_MAX, POSITIVE_PHI_MIN
-from .forrelation import CONSTANT, EncodedSample, ForrelationInstance, decode, simulate_reduced
+from .forrelation import CONSTANT, EncodedSample, ForrelationInstance, decode, phi_exact, simulate_reduced
 
 VQC_BIAS_LOWER = 1 - 2 * POSITIVE_PHI_MIN ** 2
 VQC_BIAS_UPPER = 1 - 2 * NEGATIVE_PHI_MAX ** 2
@@ -50,9 +51,9 @@ def default_bias() -> float:
 def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[float]:
     """``exact`` (probabilities of distinct outcomes), or their frequencies
     in one multinomial draw of ``shots`` over them and the rest.  Each exact
-    probability is one rounding of a value <= 1 (ReducedState.probability),
-    so none exceeds 1.  Every probability read comes here, so every read
-    rejects shots < 1."""
+    probability is one rounding of a value <= 1 (ReducedState.probability,
+    or vqc_probabilities as it rounds), so none exceeds 1.  Every
+    probability read comes here, so every read rejects shots < 1."""
     if shots is None:
         return exact
     if shots < 1:
@@ -61,18 +62,30 @@ def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[flo
     return [int(c) / shots for c in counts[:-1]]
 
 
+def vqc_probabilities(samples: list[EncodedSample], shots: int | None = None, seed: int = 0) -> list[float]:
+    """p0(x) = |<0...0| U_F(x) |0...0>|^2 per sample: exact, from one phi_exact pass
+    (the exact square, rounded once as ReducedState.probability rounds), or
+    shot-estimated, sample i with seed + i."""
+    exact = [math.ldexp(num * num / (den * den), -e) for num, den, e in phi_exact([decode(s) for s in samples])]
+    return [_probabilities([p], shots, seed + i)[0] for i, p in enumerate(exact)]
+
+
 def vqc_probability(sample: EncodedSample, shots: int | None = None, seed: int = 0) -> float:
-    """p0(x) = |<0...0| U_F(x) |0...0>|^2, exact or shot-estimated."""
-    return _probabilities([simulate_reduced(decode(sample)).probability(0)], shots, seed)[0]
+    """vqc_probabilities of one sample."""
+    return vqc_probabilities([sample], shots, seed)[0]
+
+
+def vqc_predictions(samples: list[EncodedSample], bias: float, shots: int | None = None, seed: int = 0) -> list[int]:
+    """Per sample, +1 iff p0 strictly exceeds (1 - bias)/2; ties go to -1.
+    bias must lie in [-1, 1]; shots and seed as in vqc_probabilities."""
+    if not -1.0 <= bias <= 1.0:
+        raise ValueError(f"bias must lie in [-1, 1], got {bias}")
+    return [1 if p > 0.5 * (1.0 - bias) else -1 for p in vqc_probabilities(samples, shots, seed)]
 
 
 def vqc_classify(sample: EncodedSample, bias: float, shots: int | None = None, seed: int = 0) -> int:
-    """+1 iff p0 strictly exceeds (1 - bias)/2; ties go to -1.  bias must
-    lie in [-1, 1]; shots=None reads p0 exactly."""
-    if not -1.0 <= bias <= 1.0:
-        raise ValueError(f"bias must lie in [-1, 1], got {bias}")
-    p = vqc_probability(sample, shots, seed)
-    return 1 if p > 0.5 * (1.0 - bias) else -1
+    """vqc_predictions of one sample."""
+    return vqc_predictions([sample], bias, shots, seed)[0]
 
 
 def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed: int = 0) -> float:

@@ -119,13 +119,16 @@ def cmd_classify(args) -> int:
             print(f"qsvm training failed: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
 
+    seeds = range(args.seed, args.seed + len(samples))   # sample idx draws its shots with args.seed + idx
+    if args.mode == "qsvm":
+        predictions = (cls.qsvm_classify(s.sample, sol, args.shots, seed) for s, seed in zip(samples, seeds))
+    else:
+        try:
+            predictions = cls.vqc_predictions([s.sample for s in samples], args.bias, args.shots, args.seed)
+        except Exception:   # one at a time, so the lines before the failing sample print before its error
+            predictions = (cls.vqc_classify(s.sample, args.bias, args.shots, seed) for s, seed in zip(samples, seeds))
     correct = 0
-    for idx, s in enumerate(samples):
-        seed = args.seed + idx
-        if args.mode == "qsvm":
-            predicted = cls.qsvm_classify(s.sample, sol, args.shots, seed)
-        else:
-            predicted = cls.vqc_classify(s.sample, args.bias, args.shots, seed)
+    for idx, (s, predicted) in enumerate(zip(samples, predictions)):
         correct += predicted == s.label
         print(json.dumps({"type": "prediction", "index": idx, "label": s.label,
                           "predicted": predicted, "phi": f"{s.phi:.17g}"}))

@@ -18,7 +18,8 @@ and lies in [-1, 1].  This module provides:
   function supports, wherever that is exact (at most 6 qubits, k times
   their count <= 53), the other components run by the runner, equal to
   phi_bruteforce bit for bit; phi_circuits and phi_draws (an int array)
-  give its bits in bulk, one block per shape,
+  give its bits in bulk, one block per shape, and phi_exact the exact
+  values phi_circuits rounds,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -60,7 +61,7 @@ component split saves no arithmetic, so Phi reads the tables of all n
 qubits, rounded once (_dense_phis); phi_draws reads a (B, k) int array of
 function indices and builds no instance.  Past that, each component of m
 qubits that _runs_dense contributes its exact total and each other one its
-runner entry, and Phi is their exact product rounded once (_phi_of).
+runner entry, and Phi is their exact product (_exact_of) rounded once.
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -518,21 +519,28 @@ def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit: read off the
     end tables of all n qubits when _runs_dense(n, k); else the product of
     one exact factor per component of the supports, off the end tables of
-    its m qubits or by the runner (_dispatch), rounded once (_phi_of)."""
+    its m qubits or by the runner (_dispatch), rounded once (_exact_of)."""
     n, k = inst.n, inst.k
     if _runs_dense(n, k):
         index = _end_tables(n)[2]
         return _dense_phis(n, [index[f.mask] for f in inst.functions])[0]
     tables, programs = _dispatch(inst)
-    return _phi_of(inst, [(m, int(_dense_totals(m, cols))) for m, cols in tables], [_run(*p) for p in programs])
+    exact = _exact_of(inst, [(m, int(_dense_totals(m, cols))) for m, cols in tables], [_run(*p) for p in programs])
+    return _checked_phi(_rounded(*exact))
 
 
 def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
-    """[phi_circuit(x) for x in insts], bit for bit.  Each (n, k) that
-    _runs_dense is one block of the dense evaluator; the components of all
-    the other instances go through _table_totals and _run_components at
-    once.  Any instance's error raises for the whole list."""
-    out = [0.0] * len(insts)
+    """[phi_circuit(x) for x in insts], bit for bit: phi_exact of each,
+    rounded once (_rounded)."""
+    return [_checked_phi(_rounded(*exact)) for exact in phi_exact(insts)]
+
+
+def phi_exact(insts: Sequence[ForrelationInstance]) -> list[tuple[int, int, int]]:
+    """(num, den, e) per instance, Phi = num / den / sqrt(2^e) exactly.
+    Each (n, k) that _runs_dense is one block of the dense evaluator; the
+    components of all the other instances go through _table_totals and
+    _run_components at once.  Any instance's error raises for the whole list."""
+    out: list = [None] * len(insts)
     parts = {}   # per instance past the whole-register tables: its _dispatch
     for (n, k), idx in _grouped((inst.n, inst.k) for inst in insts).items():
         if not _runs_dense(n, k):
@@ -540,12 +548,12 @@ def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
             continue
         index = _end_tables(n)[2]
         draws = np.array([[index[f.mask] for f in insts[i].functions] for i in idx])
-        for i, phi in zip(idx, _dense_phis(n, draws.T)):
-            out[i] = phi
+        for i, total in zip(idx, _dense_totals(n, draws.T).tolist()):
+            out[i] = _exact_of(insts[i], [(n, int(total))], [])
     totals = iter(_table_totals([table for tables, _ in parts.values() for table in tables]))
     comps = iter(_run_components([program for _, programs in parts.values() for program in programs]))
     for i, (tables, programs) in parts.items():
-        out[i] = _phi_of(insts[i], [next(totals) for _ in tables], [next(comps) for _ in programs])
+        out[i] = _exact_of(insts[i], [next(totals) for _ in tables], [next(comps) for _ in programs])
     return out
 
 
@@ -580,17 +588,18 @@ def _table_totals(tables: Sequence[tuple[int, list[int]]]) -> list[tuple[int, in
     return out
 
 
-def _phi_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: list[Component]) -> float:
-    """Phi from the (m, total) of each table component, worth total over
-    sqrt(2^((k+1)m)), the runner's Components and, at even k, 2^(-1/2) per
-    free qubit: the exact product, rounded once, as ReducedState rounds."""
+def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: list[Component]) -> tuple:
+    """Phi's exact (num, den, e) from the (m, total) of each table
+    component, worth total over sqrt(2^((k+1)m)) (its power of two in den,
+    so num / den stays in float range, as a runner row does), the runner's
+    Components and, at even k, 2^(-1/2) per free qubit."""
     num, den, e, covered = 1, 1, 0, 0
     for m, total in tables:
-        num, e, covered = num * total, e + (inst.k + 1) * m, covered + m
+        num, den, e, covered = num * total, den << (inst.k + 1) * m // 2, e + (inst.k + 1) * m % 2, covered + m
     for comp in comps:
         p, d = comp.entry(0).as_integer_ratio()
         num, den, e, covered = num * p, den * d, e + comp.exponent, covered + len(comp.support)
-    return _checked_phi(_rounded(num, den, e + (inst.n - covered) * (inst.k % 2 == 0)))
+    return num, den, e + (inst.n - covered) * (inst.k % 2 == 0)
 
 
 def phi_draws(n: int, draws: np.ndarray) -> list[float]:

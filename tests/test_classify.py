@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kforrelation.classify import (
     VQC_BIAS_LOWER,
@@ -16,6 +18,8 @@ from kforrelation.classify import (
     qsvm_train,
     shot_budget_for,
     vqc_classify,
+    vqc_predictions,
+    vqc_probabilities,
     vqc_probability,
 )
 from kforrelation.datagen import (
@@ -24,7 +28,15 @@ from kforrelation.datagen import (
     make_negative_sample,
     make_positive_sample,
 )
-from kforrelation.forrelation import encode, instance_of
+from kforrelation.forrelation import (
+    components,
+    decode,
+    encode,
+    indexed_instance,
+    instance_of,
+    restricted_functions,
+    simulate_reduced,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +100,54 @@ def test_vqc_sampled_mode_constructive(pair33):
     pos, neg = pair33
     assert vqc_classify(pos, default_bias(), shots=200, seed=5) == 1
     assert vqc_classify(neg, default_bias(), shots=200, seed=5) == -1
+
+
+# One witness per evaluator that phi_exact can give an instance: the end
+# tables of all n <= 6 qubits, each component's own end tables and the runner
+# (a 7-qubit chain), the same at even k with free qubits in |+>, and n = 6
+# past k*n = 53, where a 6-qubit component runs and narrower ones are read
+# off their own tables.
+WITNESSES = [
+    instance_of(6, {1, 2}, {2, 3, 4}, {4, 5, 6}, {6}, {1, 3}, (), {5}),
+    instance_of(12, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {8, 9}, {10}),
+    instance_of(16, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {9, 10}),
+    instance_of(6, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, (), {1}, (), {6}),
+    instance_of(6, *([{1, 2}, {4, 5, 6}] * 5)[:9]),
+]
+VQC_SHAPES = [(6, 7), (3, 4), (5, 3), (12, 5), (20, 3), (8, 9), (16, 4), (6, 9), (7, 3)]
+
+
+def exact_p0(sample):
+    return simulate_reduced(decode(sample)).probability(0)
+
+
+def test_witnesses_take_every_evaluator():
+    def kinds(inst):   # the whole register, a table component, a runner component
+        if inst.n <= 6 and inst.n * inst.k <= 53:
+            return {"whole"}
+        return {"table" if len(c) <= 6 and inst.k * len(c) <= 53 else "runner" for c in components(inst)}
+    assert [kinds(inst) for inst in WITNESSES] == [{"whole"}, {"table", "runner"}, {"table", "runner"},
+                                                  {"runner"}, {"table"}]
+    assert WITNESSES[2].k % 2 == 0 and sum(map(len, components(WITNESSES[2]))) < WITNESSES[2].n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(VQC_SHAPES).flatmap(
+    lambda shape: st.lists(st.integers(0, len(restricted_functions(shape[0])) - 1),
+                           min_size=shape[1], max_size=shape[1]).map(lambda row: indexed_instance(shape[0], row))),
+    max_size=12))
+def test_vqc_probabilities_are_each_samples_exact_p0_bit_for_bit(drawn):
+    # One pass over shapes and evaluators mixed in one list gives, sample by
+    # sample, the bits that simulating each sample on its own gives.
+    samples = [encode(inst) for inst in WITNESSES + drawn]
+    p0 = vqc_probabilities(samples)
+    assert p0 == [exact_p0(s) for s in samples] == [vqc_probability(s) for s in samples]
+
+
+def test_vqc_shot_estimates_draw_sample_i_with_seed_plus_i():
+    samples = [encode(inst) for inst in WITNESSES]
+    assert vqc_probabilities(samples, 1323, 5) == [vqc_probability(s, 1323, 5 + i) for i, s in enumerate(samples)]
+    assert vqc_predictions(samples, 0.5, 1323, 5) == [vqc_classify(s, 0.5, 1323, 5 + i) for i, s in enumerate(samples)]
 
 
 def test_vqc_tie_goes_negative():

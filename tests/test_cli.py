@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kforrelation import cli, forrelation, qstate
@@ -17,6 +18,19 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def dense_blocks(monkeypatch):
+    """(n, rows) of each later call of the dense evaluator; a lone instance is 1 row."""
+    blocks, real = [], forrelation._dense_totals
+
+    def spy(n, cols):
+        totals = real(n, cols)
+        blocks.append((n, np.size(totals)))
+        return totals
+
+    monkeypatch.setattr(forrelation, "_dense_totals", spy)
+    return blocks
 
 
 def gen_args(tmp_path, name="d.jsonl", **overrides):
@@ -159,6 +173,42 @@ def test_classify_header_only_dataset(mode, tmp_path, capsys):
                                   "accuracy": None, "shots": None}
 
 
+@pytest.mark.parametrize("mode", ["vqc", "qsvm"])
+def test_classify_over_cap_sample_prints_the_lines_before_it(mode, tmp_path, capsys, monkeypatch):
+    # Sample 3 of this (8,3) set has a 7-qubit component, which the runner
+    # simulates (narrower ones are read off end tables): above a cap of 6,
+    # VQC's one pass raises CapacityError, and classify still prints the
+    # lines of samples 0..2 before the error, as a sample-by-sample loop does.
+    argv, data = gen_args(tmp_path, n=8, k=3, pos=4, neg=4, seed=10)
+    assert run_cli(argv, capsys)[0] == 0
+    code, uncapped, _ = run_cli(["classify", "--data", data, "--mode", mode], capsys)
+    assert code == 0
+    monkeypatch.setattr(qstate, "MAX_QUBITS", 6)
+    code, stdout, stderr = run_cli(["classify", "--data", data, "--mode", mode], capsys)
+    assert code == 2
+    assert stdout.splitlines() == uncapped.splitlines()[:3]
+    assert stderr == "error: a statevector may hold 1 to 6 qubits, got 7\n"
+
+
+@pytest.mark.parametrize("shots", [None, 1323])
+def test_classify_vqc_reads_a_dense_dataset_in_one_block(shots, tmp_path, capsys, monkeypatch):
+    # 20 samples at (6,7): every exact p0 comes from one block of the dense
+    # evaluator, and no sample is simulated on its own.
+    argv, data = gen_args(tmp_path, n=6, k=7, pos=10, neg=10, seed=3)
+    assert run_cli(argv, capsys)[0] == 0
+
+    def no_simulation(inst):
+        raise AssertionError("classify --mode vqc simulated a sample")
+
+    blocks = dense_blocks(monkeypatch)
+    monkeypatch.setattr(forrelation, "simulate_reduced", no_simulation)
+    monkeypatch.setattr(cli.cls, "simulate_reduced", no_simulation)
+    argv = ["classify", "--data", data, "--mode", "vqc"] + ([] if shots is None else ["--shots", str(shots)])
+    code, stdout, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(stdout.splitlines()[-1])["samples"] == 20
+    assert blocks == [(6, 20)]
+
+
 def test_classify_mode_validation(dataset, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["classify", "--data", dataset, "--mode", "nonsense"])
@@ -189,15 +239,7 @@ def test_verify_oracle_sweep_checks_the_dense_rows(monkeypatch):
     # all of its instances are one block of the dense evaluator, so the
     # oracle checks the dense path.  The random draws with n <= 4 join the
     # block of their (n, k).
-    blocks = []
-    real = forrelation._dense_phis
-
-    def spy(n, cols):
-        phis = real(n, cols)
-        blocks.append((n, len(phis)))
-        return phis
-
-    monkeypatch.setattr(forrelation, "_dense_phis", spy)
+    blocks = dense_blocks(monkeypatch)
     assert cli.check_oracle_equivalence(seed=3) == (True, 0.0)
     sweep_rows = {m: len(forrelation.restricted_functions(m)) ** 3 for m in (2, 3)}
     for m, rows in sweep_rows.items():
@@ -349,15 +391,20 @@ def test_check_fails_on_injected_fault(name, attr, fault, monkeypatch):
 # of the program, so a change that moves what the commands print fails here.
 
 
-@pytest.mark.parametrize("mode", ["vqc", "qsvm"])
-@pytest.mark.parametrize("shots", [None, 1323])
-def test_classify_stdout_matches_golden(mode, shots, capsys):
-    argv = ["classify", "--data", str(DATA / "dataset_n12_k5.jsonl"), "--mode", mode]
+# (12,5) takes per-component end tables and the runner; (6,7) the end
+# tables of all 6 qubits.
+@pytest.mark.parametrize("data, suffix, shots, mode", [
+    pytest.param(data, suffix, shots, mode, id=f"{shots}-{mode}{suffix}")
+    for data, suffix in (("dataset_n12_k5", ""), ("gen_n6_k7", "_n6_k7"))
+    for shots in (None, 1323) for mode in ("vqc", "qsvm")])
+def test_classify_stdout_matches_golden(data, suffix, shots, mode, capsys):
+    argv = ["classify", "--data", str(DATA / f"{data}.jsonl"), "--mode", mode]
     if shots is not None:
         argv += ["--shots", str(shots), "--seed", "5"]
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0
-    assert stdout.encode() == (DATA / f"classify_{mode}_{'exact' if shots is None else 'shots'}.txt").read_bytes()
+    golden = DATA / f"classify_{mode}_{'exact' if shots is None else 'shots'}{suffix}.txt"
+    assert stdout.encode() == golden.read_bytes()
 
 
 def test_gen_matches_golden(tmp_path, capsys):
