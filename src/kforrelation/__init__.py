@@ -47,7 +47,6 @@ from .forrelation import (
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
-    simulate_reduced_batch,
 )
 from .classify import (
     DegenerateTrainingSetError,

@@ -18,9 +18,10 @@ frequency; shots=None selects exact mode throughout.  A rule reads one or
 two basis outcomes, whose counts among i.i.d. measurements are exactly
 multinomial, so shot mode is one multinomial draw over them.  The VQC's p0
 is Phi^2, squared exactly from forrelation.phi_exact for a whole dataset in
-one pass; the QSVM and the kernel read forrelation.simulate_reduced.  Both
-run one connected component of the function supports at a time, so no call
-builds a 2^n vector.
+one pass; the QSVM and the kernel read forrelation.simulate_reduced, whose
+reads take the same exact product (forrelation._exact_of).  Both run one
+connected component of the function supports at a time, so no call builds
+a 2^n vector.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[flo
 
 def vqc_probabilities(samples: list[EncodedSample], shots: int | None = None, seed: int = 0) -> list[float]:
     """p0(x) = |<0...0| U_F(x) |0...0>|^2 per sample: exact, from one phi_exact pass
-    (the exact square, rounded once as ReducedState.probability rounds), or
+    (the exact square, rounded once as ReducedState.probability(0) rounds it), or
     shot-estimated, sample i with seed + i."""
     exact = [math.ldexp(num * num / (den * den), -e) for num, den, e in phi_exact([decode(s) for s in samples])]
     return [_probabilities([p], shots, seed + i)[0] for i, p in enumerate(exact)]
@@ -170,10 +171,16 @@ def negative_target_index(x_minus: EncodedSample) -> int:
 
 @lru_cache(maxsize=16)
 def _target_index(x_minus: EncodedSample) -> int:
+    """z read off each component's row, then checked: nonzero, with p_z 1 to 1e-12."""
     red = simulate_reduced(decode(x_minus))
+    z = 0
     for c in red.components:
-        c.close()
-    z = sum(c.full_index(int(np.abs(c.amps).argmax())) for c in red.components)
+        if c.scale:   # an open row of +-e_r is a multiple of row r of the Sylvester matrix
+            bits = [(c.amps[1 << i] < 0) != (c.amps[0] < 0) for i in range(len(c.support))]
+        else:   # a closed row is +-e_r
+            r = int(np.abs(c.amps).argmax())
+            bits = [(r >> i) & 1 for i in range(len(c.support))]
+        z |= sum(1 << (q - 1) for q, bit in zip(c.support, bits) if bit)
     if abs(red.probability(z) - 1.0) > 1e-12 or z == 0:
         raise ValueError("x_minus is not a constructive negative sample")
     return z

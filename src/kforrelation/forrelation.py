@@ -38,17 +38,14 @@ simulate_reduced therefore runs each component on its own qubits
 (relabelled 1..|C| in increasing order), with the functions outside it as
 identity layers, and reads every amplitude or probability of the n-qubit
 state off those states; the statevector cap applies to each component, not
-to n or |S|.  It runs each circuit with qstate.run_sign_circuit, whose
-float64 rows hold exact scaled values (one per Component), multiplies the
-components' entries as exact integers and rounds once when an amplitude
-or probability is read.  A component's last Hadamard layer stays open:
-its index 0 reads as an exact sum, and only a read of another index
-closes it.
-simulate_reduced_batch does the same for many instances at once: it
-groups the components of all of them by qubit count and collapsed program
-shape (qstate.collapse_layers) and runs each group as the rows of one
-block, then reads every value through the same Component and ReducedState
-code, so the one rounding happens in one place.
+to n or to |S|.  It runs each circuit with qstate.run_sign_circuit, whose
+float64 rows hold exact scaled values (one per Component) with the last
+Hadamard layer left open.  A read leaves the rows as they are: entry r is
+a row's dot with row r of the Sylvester matrix, and _exact_of multiplies
+the entries as exact integers, the one product Phi takes too, and rounds
+once.  phi_exact runs the components of many instances with one qubit
+count and collapsed program shape (qstate.collapse_layers) as the rows of
+one block.
 
 Dense end tables for Phi.  On m <= SIGN_TABLE_QUBITS (6) qubits, <0|U|0>
 is 1^T D_k S ... S D_1 1 over 2^((k+1)m/2), for S the +-1 Sylvester
@@ -84,7 +81,6 @@ from .qstate import (
     Gate,
     StateVector,
     apply_circuit,
-    close_layer,
     collapse_layers,
     controlled_phase,
     hadamard_all,
@@ -365,15 +361,16 @@ def _qubits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Component:
     """U_C|0...0> on one connected component: its qubits ``support`` (and
     ``mask``, bit q-1 set for each qubit q of it), relabelled 1..m in
     ``amps``, a row qstate.run_sign_circuit returned: 2^m float64 entries
     that are the amplitudes times sqrt(2^``exponent``) once the last
-    Hadamard layer is closed.  While ``scale`` is nonzero that layer is
-    still open: index 0 reads as scale times the sum of the row, exactly,
-    and the first read of any other index closes the layer in place, once."""
+    Hadamard layer is applied.  While ``scale`` is nonzero that layer is
+    open, and entry r reads as scale times the row dotted with s_r, row r of
+    the +-1 Sylvester matrix: the terms row r of the transform adds, so the
+    read is exact whenever the transform is.  No read writes to the row."""
 
     support: tuple[int, ...]
     amps: np.ndarray
@@ -381,25 +378,18 @@ class Component:
     scale: float
     mask: int
 
-    def close(self) -> None:
-        """Apply the open last Hadamard layer, if there is one."""
-        if self.scale:
-            close_layer(self.amps, self.scale, self.exponent)
-            self.scale = 0.0
-
     def entry(self, r: int) -> float:
         """The scaled amplitude of local index r."""
-        if self.scale and not r:
+        if not self.scale:
+            return float(self.amps[r])
+        if not r:
             return float(self.amps.sum()) * self.scale
-        self.close()
-        return float(self.amps[r])
-
-    def full_index(self, r: int) -> int:
-        """Full basis index of this component's index r, every other bit 0."""
-        z = 0
-        for i, q in enumerate(self.support):
-            z |= ((r >> i) & 1) << (q - 1)
-        return z
+        m = len(self.support)
+        if m <= qstate.WHT_BLOCK_QUBITS:
+            signs = qstate._SYLVESTER[r, : 1 << m]
+        else:   # (-1)^popcount(r & x)
+            signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << m) & r) & 1)
+        return float(self.amps.dot(signs)) * self.scale
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -416,38 +406,21 @@ def _rounded(num: int, den: int, e: int) -> float:
 
 @dataclass(frozen=True)
 class ReducedState:
-    """U_F|0...0> of an n-qubit instance, held as the product of its
-    ``components``' states (U_F is the tensor product of one circuit per
-    component) and the free qubits' product state: |0> each when
-    ``free_in_plus`` is false (odd k), |+> each when it is true (even k),
-    which contributes 2^(-``free_exponent``/2).  Every component holds exact
-    scaled entries; an amplitude multiplies them as exact integers and
-    rounds once, when it divides by the square root of the summed
-    exponents.  A read closes the open last layer of the components whose
-    qubits z sets, and no other.  Nothing here builds a 2^n vector."""
+    """U_F|0...0> of ``inst``, held as the product of its ``components``'
+    states (U_F is the tensor product of one circuit per component) and the
+    free qubits' product state.  An amplitude is _exact_of the components at
+    its index, the exact product Phi takes too, rounded once.  No read
+    changes a component, and nothing here builds a 2^n vector."""
 
-    n: int
+    inst: ForrelationInstance
     components: tuple[Component, ...]
-    free_in_plus: bool
-    free_exponent: int
 
     def _entry(self, z: int) -> tuple[int, int, int]:
         """(num, den, e): the amplitude of a full n-qubit basis index z is
         num / den / sqrt(2^e), exactly."""
-        if not 0 <= z < 1 << self.n:
-            raise ValueError(f"basis index {z} out of range for {self.n} qubits")
-        num, den, e, seen = 1, 1, self.free_exponent, 0
-        for comp in self.components:
-            r = 0
-            if z & comp.mask:
-                for i, q in enumerate(comp.support):
-                    r |= ((z >> (q - 1)) & 1) << i
-                seen |= z & comp.mask
-            p, d = comp.entry(r).as_integer_ratio()
-            num, den, e = num * p, den * d, e + comp.exponent
-        if not self.free_in_plus and z != seen:
-            return 0, 1, 0  # a free qubit in |0> has no weight on a set bit
-        return num, den, e
+        if not 0 <= z < 1 << self.inst.n:
+            raise ValueError(f"basis index {z} out of range for {self.inst.n} qubits")
+        return _exact_of(self.inst, [], self.components, z)
 
     def amplitude(self, z: int) -> float:
         """<z| U_F |0...0>: the exact product, rounded once (_rounded)."""
@@ -463,24 +436,15 @@ class ReducedState:
 def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
     """U_F |0...0> simulated on each of components(inst) on its own, by
     qstate.run_sign_circuit, with each component's last Hadamard layer left
-    open until a read needs it.  The statevector cap applies to each
-    component's qubit count, not to n or to the support union."""
-    return _reduced_state(inst, [_run(*program) for program in _dispatch(inst, tables=False)[1]])
+    open.  The statevector cap applies to each component's qubit count, not
+    to n or to the support union."""
+    return ReducedState(inst, tuple(_run(*program) for program in _dispatch(inst, tables=False)[1]))
 
 
 def _run(part: int, support: tuple[int, ...], flips: list[list[int]], open_last: bool) -> Component:
     """The Component of one _dispatch program, as a lone row: a block row costs more."""
     rows, e, scale = run_sign_circuit(len(support), [flips], open_last)
     return Component(support, rows[0], e, scale, part)
-
-
-def simulate_reduced_batch(insts: Iterable[ForrelationInstance]) -> list[ReducedState]:
-    """simulate_reduced of each instance, with the components of all of
-    them run by _run_components and read through the same Component and
-    ReducedState code."""
-    layout = [(inst, _dispatch(inst, tables=False)[1]) for inst in insts]
-    comps = iter(_run_components([program for _, programs in layout for program in programs]))
-    return [_reduced_state(inst, [next(comps) for _ in programs]) for inst, programs in layout]
 
 
 def _run_components(programs: Sequence[tuple]) -> list[Component]:
@@ -501,12 +465,6 @@ def _grouped(keys: Iterable) -> dict:
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return groups
-
-
-def _reduced_state(inst: ForrelationInstance, comps: list[Component]) -> ReducedState:
-    free_in_plus = inst.k % 2 == 0
-    free = inst.n - sum(len(c.support) for c in comps) if free_in_plus else 0
-    return ReducedState(inst.n, tuple(comps), free_in_plus, free)
 
 
 def simulate_instance(inst: ForrelationInstance) -> StateVector:
@@ -588,18 +546,29 @@ def _table_totals(tables: Sequence[tuple[int, list[int]]]) -> list[tuple[int, in
     return out
 
 
-def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: list[Component]) -> tuple:
-    """Phi's exact (num, den, e) from the (m, total) of each table
-    component, worth total over sqrt(2^((k+1)m)) (its power of two in den,
-    so num / den stays in float range, as a runner row does), the runner's
-    Components and, at even k, 2^(-1/2) per free qubit."""
-    num, den, e, covered = 1, 1, 0, 0
+def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: Sequence[Component],
+              z: int = 0) -> tuple:
+    """The exact (num, den, e) of <z|U_F|0...0>, Phi at z = 0: the product
+    of the (m, total) of each table component, worth total over
+    sqrt(2^((k+1)m)) (its power of two in den, so num / den stays in float
+    range, as a runner row does) and read at z = 0 only, each runner
+    Component's entry at z's bits on its qubits, and the free qubits: at odd
+    k each ends in |0>, so a z that sets one reads 0, and at even k each
+    ends in |+>, worth 2^(-1/2)."""
+    num, den, e, covered, seen = 1, 1, 0, 0, 0
     for m, total in tables:
         num, den, e, covered = num * total, den << (inst.k + 1) * m // 2, e + (inst.k + 1) * m % 2, covered + m
     for comp in comps:
-        p, d = comp.entry(0).as_integer_ratio()
+        r = 0
+        if z & comp.mask:
+            for i, q in enumerate(comp.support):
+                r |= ((z >> (q - 1)) & 1) << i
+            seen |= z & comp.mask
+        p, d = comp.entry(r).as_integer_ratio()
         num, den, e, covered = num * p, den * d, e + comp.exponent, covered + len(comp.support)
-    return num, den, e + (inst.n - covered) * (inst.k % 2 == 0)
+    if inst.k % 2:
+        return (num, den, e) if z == seen else (0, 1, 0)
+    return num, den, e + inst.n - covered
 
 
 def phi_draws(n: int, draws: np.ndarray) -> list[float]:

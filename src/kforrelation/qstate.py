@@ -33,11 +33,11 @@ the rows of one block, through one layer loop.  Forrelation reads Phi's
 factor of six qubits or fewer off exact end tables instead, built with the
 same kernel and sign table, which also run the layers between the tables.
 The runner hands out plain float64 rows: it fills its first Hadamard
-layer in as the uniform vector and leaves its last one open, for
-close_layer to apply when an entry other than index 0 is read.  The Gate
-engine is the dense reference and rounds at every layer: apply_gate checks,
-applies and norm-checks every Gate, and apply_circuit and unitary_of run
-through it.
+layer in as the uniform vector and leaves its last one open, so a caller
+reads entry r as the row's dot with row r of the Sylvester matrix and never
+writes to the row.  The Gate engine is the dense reference and rounds at
+every layer: apply_gate checks, applies and norm-checks every Gate, and
+apply_circuit and unitary_of run through it.
 """
 from __future__ import annotations
 
@@ -306,15 +306,15 @@ def run_sign_circuit(m: int, programs: Sequence[Sequence[Sequence[int]]],
     gather of sign-table rows.  Both give the same bits.
 
     Returns (rows, e, scale): rows[i], a float64 array of length 2^m, is
-    circuit i's row, and its amplitudes are the closed row's entries
-    divided by sqrt(2^e), with e = J*m mod 2 for the J Hadamard layers of
-    the circuit, a factor left for the caller to apply with one rounding.
-    When open_last is true the last Hadamard layer is left open: a row
-    holds the amplitudes before it, scale is its rescale, and close_layer
-    applies it.  The closed index 0 is scale times the sum of the row,
-    which adds the terms row 0 of the transform adds, so it is exact
-    whenever the transform is.  scale is 0.0 when the circuits end on a
-    flip, with no layer open.
+    circuit i's row, and its amplitudes are the row's entries divided by
+    sqrt(2^e), with e = J*m mod 2 for the J Hadamard layers of the circuit,
+    a factor left for the caller to apply with one rounding.  When
+    open_last is true the last Hadamard layer is left open: a row holds the
+    amplitudes before it and scale is its rescale, so entry r is scale
+    times the row dotted with row r of the +-1 Sylvester matrix (at index
+    0, its sum).  That adds the terms row r of the transform adds, so it is
+    exact whenever the transform is.  scale is 0.0 when the circuits end on
+    a flip, with no layer open.
 
     The Hadamard layers run unnormalised, and applied layer j is rescaled
     by 2^-(floor(j*m/2) - floor((j-1)*m/2)), so no amplitude exceeds
@@ -377,15 +377,6 @@ def _layer_scale(layers: int, m: int) -> float:
     """The exact power of two that rescales the unnormalised Hadamard layer
     applied after ``layers`` others on m qubits."""
     return 2.0 ** ((layers * m) // 2 - ((layers + 1) * m) // 2)
-
-
-def close_layer(amp: np.ndarray, scale: float, e: int) -> None:
-    """Apply the Hadamard layer run_sign_circuit left open to a row, in
-    place: the +-1 transform, then the exact rescale ``scale``.  The norm is
-    checked against 2^e, like every layer applied by run_sign_circuit."""
-    _wht_inplace(amp, amp.size.bit_length() - 1)
-    amp *= scale
-    _check_norms([float(amp.dot(amp)) / 2.0 ** e])
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> np.ndarray:

@@ -37,7 +37,6 @@ from kforrelation.forrelation import (
     simulate_fixed_ansatz,
     simulate_instance,
     simulate_reduced,
-    simulate_reduced_batch,
 )
 from kforrelation.qstate import CapacityError, init_zero, phase_flip
 
@@ -98,12 +97,11 @@ def check_against_dense(inst):
         assert phi == phi_bruteforce(inst)   # both round one exact value once
     assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
     red = simulate_reduced(inst)
-    phi_open = red.amplitude(0)   # no layer closed yet: an open component's index 0 is a sum
+    phi_first = red.amplitude(0)
     for z in range(1 << inst.n):
         assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
         assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
-    assert all(not c.scale for c in red.components)   # the z-loop closed every layer
-    assert red.amplitude(0) == phi_open == phi
+    assert red.amplitude(0) == phi_first == phi
 
 
 @SETTINGS
@@ -122,6 +120,31 @@ def test_reduced_matches_dense_and_bruteforce(inst):
     check_against_dense(inst)
 
 
+@SETTINGS
+@given(instances(n=st.integers(1, 12), k=st.integers(1, 7)), st.randoms(use_true_random=False))
+@example(WIDE, None)   # even k: one 8-qubit component, its last layer open
+@example(instance_of(12, {10, 11}, {12}, {9}, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {7, 8}), None)  # odd k: 8, 2 and 1 qubits
+@example(instance_of(9, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {7, 8, 9}, ()), None)   # odd k: 9 qubits, ends on a constant
+def test_reads_are_pure_and_exact(inst, random):
+    # Reading z twice gives the same bits, no read writes to a row, and each
+    # component's entry equals, bit for bit, an independent close of its
+    # row: the +-1 transform of a copy, times scale.
+    red = simulate_reduced(inst)
+    rows = [c.amps.copy() for c in red.components]
+    closed = [row.copy() for row in rows]
+    for c, row in zip(red.components, closed):
+        if c.scale:
+            qstate._wht_inplace(row, len(c.support))
+            row *= c.scale
+    for z in [random.randrange(1 << inst.n) for _ in range(8)] if random else range(1 << inst.n):
+        assert red.amplitude(z).hex() == red.amplitude(z).hex()
+        assert red.probability(z).hex() == red.probability(z).hex()
+        for c, row in zip(red.components, closed):
+            r = sum(((z >> (q - 1)) & 1) << i for i, q in enumerate(c.support))
+            assert c.entry(r) == row[r]
+    assert all(np.array_equal(c.amps, row) for c, row in zip(red.components, rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(disjoint_unions(), instances(n=st.integers(1, 10), k=st.integers(1, 7))),
                 min_size=1, max_size=12), st.randoms(use_true_random=False))
@@ -130,28 +153,17 @@ def test_reduced_matches_dense_and_bruteforce(inst):
 @example([instance_of(8, {2, 5}, {2}), instance_of(5, {1, 2}, {3, 4, 5}, {2}, {5}), SPLIT, OUTER, ONE], None)
 @example([WIDE, instance_of(8, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, (), {7, 8}, {2}), WIDE], None)   # rows above the sign table
 def test_batch_equals_one_at_a_time(insts, random):
-    # Bit for bit: Phi, and every amplitude and probability read at random z.
-    assert phi_circuits(insts) == [phi_circuit(inst) for inst in insts]
-    batch = simulate_reduced_batch(insts)
-    for inst, red, once in zip(insts, batch, simulate_reduced_batch(iter(insts)), strict=True):  # one-shot input
-        single = simulate_reduced(inst)
+    # Phi in one batch and one instance at a time give the same bits; each
+    # instance's reduced state reads them at index 0 and the dense run's
+    # amplitudes and probabilities at random z.
+    phis = phi_circuits(insts)
+    assert phis == [phi_circuit(inst) for inst in insts]
+    for inst, phi in zip(insts, phis, strict=True):
+        red, dense = simulate_reduced(inst), simulate_instance(inst).amplitudes
+        assert red.amplitude(0) == phi
         for z in [0] + [random.randrange(1 << inst.n) for _ in range(3)] if random else range(1 << inst.n):
-            assert red.amplitude(z) == once.amplitude(z) == single.amplitude(z)
-            assert red.probability(z) == once.probability(z) == single.probability(z)
-
-
-def test_batch_runs_components_of_one_shape_as_rows_of_one_block():
-    # ONE's component and SPLIT's two are of three different widths; the two
-    # ONEs share a block, and closing one row leaves the other as it was.
-    a, b, split, wide, wide_too = simulate_reduced_batch([ONE, ONE, SPLIT, WIDE, WIDE])
-    rows = [red.components[0].amps for red in (a, b)]
-    assert rows[0].base is rows[1].base is not None
-    assert len(wide.components[0].support) > qstate.SIGN_TABLE_QUBITS
-    assert wide.components[0].amps.base is wide_too.components[0].amps.base
-    assert split.components[0].amps.base is not rows[0].base
-    a.amplitude(1)
-    assert not a.components[0].scale and b.components[0].scale
-    assert b.probability(1) == a.probability(1) == simulate_reduced(ONE).probability(1)
+            assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
+            assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
 
 
 def runner_spy(monkeypatch):
@@ -548,25 +560,6 @@ def kernel_rows(kernel, run, *args):
     return [rows for rows, _ in kernel_calls(kernel, run, *args)]
 
 
-def check_closing_raises(outer_red, kernel):
-    # Index 0 never closes the open layer; a read that sets qubit 4 touches
-    # only the closed {4, 5, 6}; one that sets qubit 1 closes {1, 2}.
-    outer_red.amplitude(0)
-    outer_red.amplitude(1 << 3)
-    assert kernel_rows(kernel, outer_red.amplitude, 1) == [1]   # close_layer on one row
-
-
-def test_a_read_closes_only_the_components_whose_qubits_it_sets():
-    red = simulate_reduced(SPLIT)
-    p0 = red.probability(0)
-    assert [c.scale for c in red.components] == [0.5, 0.5]   # both last layers still open
-    red.probability(1 << 4)   # qubit 5, in {4, 5, 6}
-    assert [c.scale for c in red.components] == [0.5, 0.0]
-    assert red.probability(0) == p0
-
-
-# Twice each: every component then shares its block with one other row.
-BATCH = [ONE, SPLIT, ONE, SPLIT]
 GEN = DatasetSpec(6, 7, 2, 2, seed=3)
 # Dense, with k - 5 = 2 Hadamard layers between its end-table rows.
 LONG = instance_of(6, {1, 2}, {2}, {4, 5, 6}, {6}, {1, 3}, (), {5})
@@ -577,7 +570,8 @@ WIDE_LONG = instance_of(8, {1, 2}, {2, 3, 4}, {4, 5, 6}, {6}, {1, 3}, (), {5})
 
 def check_batch_and_gen_raise(kernel):
     # The n = 6 end tables are built with the real kernel before it is patched.
-    assert max(kernel_rows(kernel, simulate_reduced_batch, BATCH)) > 1   # a block of rows
+    # WIDE's 8-qubit component is past every end table: twice, a runner block.
+    assert set(kernel_rows(kernel, phi_circuits, [WIDE, WIDE])) == {2}
     # Dense, on all 6 qubits: LONG twice as one block of the middle layers,
     # not its components, LONG alone as one row, and the first chunk
     # of gen's draws as one block.  WIDE_LONG's component the same way.
@@ -610,19 +604,18 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
     assert list(map(len, components(ONE))) == [4] and list(map(len, components(SPLIT))) == [2, 3]
     for inst in (ONE, SPLIT):
         simulate_reduced(inst)
-    simulate_reduced_batch(BATCH)
+    phi_circuits([WIDE, WIDE])
     generate_dataset(GEN)
     kernel = CountedKernel(drifting)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
         assert set(kernel_rows(kernel, simulate_reduced, inst)) == {1}   # lone rows
     check_batch_and_gen_raise(kernel)
-    check_closing_raises(simulate_reduced(OUTER), kernel)
     kernel = CountedKernel(one_row_drifts)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     simulate_reduced(ONE)   # a single state: nothing drifts
     assert {rows for rows, _ in kernel.calls} == {1}
-    assert set(kernel_rows(kernel, simulate_reduced_batch, [ONE, ONE])) == {2}
+    assert set(kernel_rows(kernel, phi_circuits, [WIDE, WIDE])) == {2}
 
 
 def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
@@ -637,7 +630,6 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
         for run in (simulate_reduced, simulate_instance):
             assert set(kernel_rows(kernel, run, inst)) == {1}
     check_batch_and_gen_raise(kernel)
-    check_closing_raises(simulate_reduced(OUTER), kernel)
 
 
 def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
@@ -670,19 +662,23 @@ def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free
     # Runner entries are dyadic with magnitude <= sqrt(2); these stay far
     # from the subnormal range, where ldexp would round a second time.  The
     # last component's layer is open: its index 0 reads as (a + a) / 2 = a.
+    # At even k each of the free_exponent free qubits adds 1 to e.
     *closed, last = entries
     comps = tuple(Component((q,), np.array([a, 0.0]), q % 2, 0.0, 1 << (q - 1)) for q, a in enumerate(closed, 1))
     q = len(entries)
     comps += (Component((q,), np.array([last, last]), q % 2, 0.5, 1 << (q - 1)),)
-    red = ReducedState(len(entries) + free_exponent, comps, True, free_exponent)
+    inst = ForrelationInstance(len(entries) + free_exponent, (CONSTANT, CONSTANT))
+    num, den, e = forrelation._exact_of(inst, [], comps)
     exact = math.prod(map(Fraction, entries))
-    e = free_exponent + sum(c.exponent for c in comps)
+    assert Fraction(num, den) == exact and e == free_exponent + sum(c.exponent for c in comps)
     if e % 2:
-        assert red.amplitude(0) == float(exact / Fraction(math.sqrt(2.0)) / 2 ** (e // 2))
+        assert forrelation._rounded(num, den, e) == float(exact / Fraction(math.sqrt(2.0)) / 2 ** (e // 2))
     else:
-        assert red.amplitude(0) == float(exact / 2 ** (e // 2))
+        assert forrelation._rounded(num, den, e) == float(exact / 2 ** (e // 2))
+    red = ReducedState(inst, comps)
+    assert red._entry(0) == (num, den, e) and red.amplitude(0) == forrelation._rounded(num, den, e)
     assert red.probability(0) == float(exact * exact / 2 ** e)
-    assert comps[-1].scale == 0.5   # still open
+    assert comps[-1].amps.tolist() == [last, last]   # read, not closed
 
 
 @settings(max_examples=40, deadline=None)
