@@ -21,12 +21,11 @@ from .qstate import (
 )
 from .forrelation import (
     BooleanFunctionSpec,
-    Component,
     EncodedSample,
     ForrelationInstance,
     MalformedSampleError,
     OddKExtension,
-    ReducedState,
+    amplitudes_exact,
     ansatz_parameter_count,
     build_circuit,
     build_fixed_ansatz,
@@ -46,7 +45,6 @@ from .forrelation import (
     sample_from_string,
     simulate_fixed_ansatz,
     simulate_instance,
-    simulate_reduced,
 )
 from .classify import (
     DegenerateTrainingSetError,

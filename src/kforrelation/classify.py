@@ -18,10 +18,11 @@ frequency; shots=None selects exact mode throughout.  A rule reads one or
 two basis outcomes, whose counts among i.i.d. measurements are exactly
 multinomial, so shot mode is one multinomial draw over them.  The VQC's p0
 is Phi^2, squared exactly from forrelation.phi_exact for a whole dataset in
-one pass; the QSVM and the kernel read forrelation.simulate_reduced, whose
-reads take the same exact product (forrelation._exact_of).  Both run one
-connected component of the function supports at a time, so no call builds
-a 2^n vector.
+one pass; the QSVM and the kernel read forrelation.amplitudes_exact, which
+takes the same exact product (forrelation._exact_of).  Every exact
+probability is one rounding of its exact square, forrelation.squared.  Both
+work one connected component of the function supports at a time, so no
+call builds a 2^n vector.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .datagen import NEGATIVE_PHI_MAX, POSITIVE_PHI_MIN
-from .forrelation import CONSTANT, EncodedSample, ForrelationInstance, decode, phi_exact, simulate_reduced
+from .forrelation import (CONSTANT, EncodedSample, ForrelationInstance, amplitudes_exact, basis_index, decode,
+                          phi_exact, squared)
 
 VQC_BIAS_LOWER = 1 - 2 * POSITIVE_PHI_MIN ** 2
 VQC_BIAS_UPPER = 1 - 2 * NEGATIVE_PHI_MAX ** 2
@@ -52,9 +54,9 @@ def default_bias() -> float:
 def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[float]:
     """``exact`` (probabilities of distinct outcomes), or their frequencies
     in one multinomial draw of ``shots`` over them and the rest.  Each exact
-    probability is one rounding of a value <= 1 (ReducedState.probability,
-    or vqc_probabilities as it rounds), so none exceeds 1.  Every
-    probability read comes here, so every read rejects shots < 1."""
+    probability is one rounding of a value <= 1 (forrelation.squared), so
+    none exceeds 1.  Every probability read comes here, so every read
+    rejects shots < 1."""
     if shots is None:
         return exact
     if shots < 1:
@@ -65,9 +67,9 @@ def _probabilities(exact: list[float], shots: int | None, seed: int) -> list[flo
 
 def vqc_probabilities(samples: list[EncodedSample], shots: int | None = None, seed: int = 0) -> list[float]:
     """p0(x) = |<0...0| U_F(x) |0...0>|^2 per sample: exact, from one phi_exact pass
-    (the exact square, rounded once as ReducedState.probability(0) rounds it), or
-    shot-estimated, sample i with seed + i."""
-    exact = [math.ldexp(num * num / (den * den), -e) for num, den, e in phi_exact([decode(s) for s in samples])]
+    (the exact square, rounded once by squared), or shot-estimated, sample i
+    with seed + i."""
+    exact = [squared(*phi) for phi in phi_exact([decode(s) for s in samples])]
     return [_probabilities([p], shots, seed + i)[0] for i, p in enumerate(exact)]
 
 
@@ -97,14 +99,14 @@ def kernel(xi: EncodedSample, xj: EncodedSample, shots: int | None = None, seed:
     xi's functions in reverse order.  The adjoint of U_F(xi) is its reversed
     gate list (Hadamard layers and phase flips are self-inverse), and the
     constant's identity placeholder is all that separates the two middle
-    Hadamard layers.  The 2k+1 functions make k odd, so simulate_reduced
-    leaves every free qubit in |0> with a factor of exactly 1.
+    Hadamard layers.  The 2k+1 functions make k odd, so every free qubit
+    ends in |0> with a factor of exactly 1; amplitudes_exact reads index 0.
     """
     if (xi.n, xi.k) != (xj.n, xj.k):
         raise ValueError(f"kernel arguments disagree on shape: ({xi.n},{xi.k}) vs ({xj.n},{xj.k})")
     fi, fj = decode(xi), decode(xj)
     inst = ForrelationInstance(xi.n, fj.functions + (CONSTANT,) + fi.functions[::-1])
-    value = _probabilities([simulate_reduced(inst).probability(0)], shots, seed)[0]
+    value = _probabilities([squared(*amplitudes_exact(inst, [0])[0])], shots, seed)[0]
     if value > 1.0 + 1e-12:
         raise RuntimeError(f"kernel value exceeds 1: {value!r}")
     return value
@@ -171,17 +173,10 @@ def negative_target_index(x_minus: EncodedSample) -> int:
 
 @lru_cache(maxsize=16)
 def _target_index(x_minus: EncodedSample) -> int:
-    """z read off each component's row, then checked: nonzero, with p_z 1 to 1e-12."""
-    red = simulate_reduced(decode(x_minus))
-    z = 0
-    for c in red.components:
-        if c.scale:   # an open row of +-e_r is a multiple of row r of the Sylvester matrix
-            bits = [(c.amps[1 << i] < 0) != (c.amps[0] < 0) for i in range(len(c.support))]
-        else:   # a closed row is +-e_r
-            r = int(np.abs(c.amps).argmax())
-            bits = [(r >> i) & 1 for i in range(len(c.support))]
-        z |= sum(1 << (q - 1) for q, bit in zip(c.support, bits) if bit)
-    if abs(red.probability(z) - 1.0) > 1e-12 or z == 0:
+    """forrelation.basis_index, then checked: nonzero, with p_z 1 to 1e-12."""
+    inst = decode(x_minus)
+    z = basis_index(inst)
+    if z == 0 or abs(squared(*amplitudes_exact(inst, [z])[0]) - 1.0) > 1e-12:
         raise ValueError("x_minus is not a constructive negative sample")
     return z
 
@@ -201,8 +196,7 @@ def qsvm_classify(
     if (s.n, s.k) != (sol.x_minus.n, sol.x_minus.k):
         raise ValueError(f"sample shape ({s.n},{s.k}) differs from the trained ({sol.x_minus.n},{sol.x_minus.k})")
     z = negative_target_index(sol.x_minus)
-    red = simulate_reduced(decode(s))
-    p0, pz = _probabilities([red.probability(0), red.probability(z)], shots, seed)
+    p0, pz = _probabilities([squared(*a) for a in amplitudes_exact(decode(s), [0, z])], shots, seed)
     decision = sol.alpha * (p0 - pz) + sol.bias
     return 1 if decision > 0.0 else -1
 

@@ -181,7 +181,7 @@ def check_oracle_equivalence(seed=0, trials=50, n=None, k=None, **_):
 
 
 def check_ansatz_equivalence(seed=0, trials=50, **_):
-    """Fixed ansatz vs direct circuit, n <= 5, k <= 5: simulate_reduced reads
+    """Fixed ansatz vs direct circuit, n <= 5, k <= 5: amplitudes_exact reads
     every dense ansatz amplitude, and there are ansatz_parameter_count slots."""
     rng = np.random.default_rng(seed)
     max_dev = 0.0
@@ -194,9 +194,9 @@ def check_ansatz_equivalence(seed=0, trials=50, **_):
         slots = sum(g.kind is qstate.GateKind.CONTROLLED_PHASE for g in gates)
         if slots != forrelation.ansatz_parameter_count(n, k):
             return False, float("inf")
-        red = forrelation.simulate_reduced(inst)
+        exact = forrelation.amplitudes_exact(inst, range(1 << n))
         ansatz = forrelation.simulate_fixed_ansatz(sample).amplitudes
-        max_dev = max(max_dev, max(abs(red.amplitude(z) - float(a)) for z, a in enumerate(ansatz)))
+        max_dev = max(max_dev, max(abs(forrelation._rounded(*e) - float(a)) for e, a in zip(exact, ansatz)))
     return max_dev <= 1e-10, max_dev
 
 

@@ -35,6 +35,7 @@ from .forrelation import (
     EncodedSample,
     ForrelationInstance,
     MalformedSampleError,
+    amplitudes_exact,
     encode,
     function_of,
     function_tables,
@@ -43,7 +44,7 @@ from .forrelation import (
     phi_draws,
     random_instance,
     sample_from_string,
-    simulate_reduced,
+    squared,
 )
 from .qstate import CapacityError
 
@@ -144,7 +145,7 @@ def make_negative_sample(n: int, k: int, j: int, three_bits: Iterable[int]) -> L
     functions[0] = function_of(j)
     functions[1] = BooleanFunctionSpec(bits)
     inst = ForrelationInstance(n, tuple(functions))
-    p = simulate_reduced(inst).probability(1 << (j - 1))
+    p = squared(*amplitudes_exact(inst, [1 << (j - 1)])[0])
     if abs(p - 1.0) > CONSTRUCTIVE_TOL:
         raise RuntimeError(f"negative construction failed: p[2^(j-1)] = {p!r}")
     return LabeledSample(encode(inst), -1, 0.0, PROVENANCE_CONSTRUCTIVE)

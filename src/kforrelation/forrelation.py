@@ -20,6 +20,8 @@ and lies in [-1, 1].  This module provides:
   phi_bruteforce bit for bit; phi_circuits and phi_draws (an int array)
   give its bits in bulk, one block per shape, and phi_exact the exact
   values phi_circuits rounds,
+* amplitudes_exact - the exact <z|U_F|0...0> of any basis indices z, and
+  basis_index, the z of a circuit that ends in a basis state,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -34,18 +36,19 @@ layers: it ends in |0> for odd k and in |+> for even k.  Within S, two
 qubits interact only if some function contains both, so U_F is the tensor
 product of one circuit U_C per connected component C of the supports
 (components), and <z|U_F|0> is the product of the <z_C|U_C|0>.
-simulate_reduced therefore runs each component on its own qubits
-(relabelled 1..|C| in increasing order), with the functions outside it as
-identity layers, and reads every amplitude or probability of the n-qubit
-state off those states; the statevector cap applies to each component, not
-to n or to |S|.  It runs each circuit with qstate.run_sign_circuit, whose
-float64 rows hold exact scaled values (one per Component) with the last
-Hadamard layer left open.  A read leaves the rows as they are: entry r is
-a row's dot with row r of the Sylvester matrix, and _exact_of multiplies
-the entries as exact integers, the one product Phi takes too, and rounds
-once.  phi_exact runs the components of many instances with one qubit
-count and collapsed program shape (qstate.collapse_layers) as the rows of
-one block.
+amplitudes_exact reads a list of basis indices z in one pass over them.  A
+component that some z sets a qubit of runs on its own qubits (relabelled
+1..|C| in increasing order), with the functions outside it as identity
+layers, so the statevector cap applies to each component, not to n or to
+|S|.  qstate.run_sign_circuit gives its float64 row of exact scaled values
+(a Component) with the last Hadamard layer left open; entry r is the row's
+dot with row r of the Sylvester matrix, so no read writes to a row.  Each
+other component is read at index 0 only, off its end tables (below) where
+they are exact.  _exact_of multiplies it all as exact integers, the one
+product Phi takes too; _rounded rounds an amplitude once, and squared a
+probability.  phi_exact runs the components of many instances with one
+qubit count and collapsed program shape (qstate.collapse_layers) as the
+rows of one block.
 
 Dense end tables for Phi.  On m <= SIGN_TABLE_QUBITS (6) qubits, <0|U|0>
 is 1^T D_k S ... S D_1 1 over 2^((k+1)m/2), for S the +-1 Sylvester
@@ -404,41 +407,40 @@ def _rounded(num: int, den: int, e: int) -> float:
     return num / (den << e // 2)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """U_F|0...0> of ``inst``, held as the product of its ``components``'
-    states (U_F is the tensor product of one circuit per component) and the
-    free qubits' product state.  An amplitude is _exact_of the components at
-    its index, the exact product Phi takes too, rounded once.  No read
-    changes a component, and nothing here builds a 2^n vector."""
-
-    inst: ForrelationInstance
-    components: tuple[Component, ...]
-
-    def _entry(self, z: int) -> tuple[int, int, int]:
-        """(num, den, e): the amplitude of a full n-qubit basis index z is
-        num / den / sqrt(2^e), exactly."""
-        if not 0 <= z < 1 << self.inst.n:
-            raise ValueError(f"basis index {z} out of range for {self.inst.n} qubits")
-        return _exact_of(self.inst, [], self.components, z)
-
-    def amplitude(self, z: int) -> float:
-        """<z| U_F |0...0>: the exact product, rounded once (_rounded)."""
-        return _rounded(*self._entry(z))
-
-    def probability(self, z: int) -> float:
-        """|<z| U_F |0...0>|^2: one rounding of the exact square, so a
-        probability of at most 1 never reads above 1."""
-        num, den, e = self._entry(z)
-        return math.ldexp((num * num) / (den * den), -e)
+def squared(num: int, den: int, e: int) -> float:
+    """(num / den / sqrt(2^e))^2 as ldexp(num^2 / den^2, -e): one rounding of
+    the exact square, so a probability of at most 1 never reads above 1."""
+    return math.ldexp((num * num) / (den * den), -e)
 
 
-def simulate_reduced(inst: ForrelationInstance) -> ReducedState:
-    """U_F |0...0> simulated on each of components(inst) on its own, by
-    qstate.run_sign_circuit, with each component's last Hadamard layer left
-    open.  The statevector cap applies to each component's qubit count, not
-    to n or to the support union."""
-    return ReducedState(inst, tuple(_run(*program) for program in _dispatch(inst, tables=False)[1]))
+def amplitudes_exact(inst: ForrelationInstance, zs: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The exact (num, den, e) of <z|U_F|0...0> per basis index z of zs, from
+    one _dispatch: each component that some z sets a qubit of runs, and each
+    other one is read at index 0, off its end tables where _runs_dense."""
+    read = 0
+    for z in zs:
+        if not 0 <= z < 1 << inst.n:
+            raise ValueError(f"basis index {z} out of range for {inst.n} qubits")
+        read |= z
+    tables, programs = _dispatch(inst, read)
+    totals = [(m, int(_dense_totals(m, cols))) for m, cols in tables]
+    comps = [_run(*program) for program in programs]
+    return [_exact_of(inst, totals, comps, z) for z in zs]
+
+
+def basis_index(inst: ForrelationInstance) -> int:
+    """The z of U_F|0...0> = +-|z>, unchecked, off a run of every component:
+    a closed row is +-e_r, and an open one a multiple of row r of the
+    Sylvester matrix: bit i of r is set iff entries 2^i and 0 differ in sign."""
+    z = 0
+    for comp in (_run(*program) for program in _dispatch(inst, (1 << inst.n) - 1)[1]):
+        amps = comp.amps
+        if comp.scale:
+            r = sum(1 << i for i in range(len(comp.support)) if (amps[1 << i] < 0) != (amps[0] < 0))
+        else:
+            r = int(np.abs(amps).argmax())
+        z |= sum(1 << (q - 1) for i, q in enumerate(comp.support) if r >> i & 1)
+    return z
 
 
 def _run(part: int, support: tuple[int, ...], flips: list[list[int]], open_last: bool) -> Component:
@@ -469,7 +471,7 @@ def _grouped(keys: Iterable) -> dict:
 
 def simulate_instance(inst: ForrelationInstance) -> StateVector:
     """U_F |0...0> by a dense run on all n qubits, capped at n: the reference
-    that simulate_reduced is checked against."""
+    that amplitudes_exact is checked against."""
     return apply_circuit(init_zero(inst.n), build_circuit(inst))
 
 
@@ -477,14 +479,12 @@ def phi_circuit(inst: ForrelationInstance) -> float:
     """Phi as the |0...0> amplitude of the instance circuit: read off the
     end tables of all n qubits when _runs_dense(n, k); else the product of
     one exact factor per component of the supports, off the end tables of
-    its m qubits or by the runner (_dispatch), rounded once (_exact_of)."""
+    its m qubits or by the runner, rounded once (amplitudes_exact)."""
     n, k = inst.n, inst.k
     if _runs_dense(n, k):
         index = _end_tables(n)[2]
         return _dense_phis(n, [index[f.mask] for f in inst.functions])[0]
-    tables, programs = _dispatch(inst)
-    exact = _exact_of(inst, [(m, int(_dense_totals(m, cols))) for m, cols in tables], [_run(*p) for p in programs])
-    return _checked_phi(_rounded(*exact))
+    return _checked_phi(_rounded(*amplitudes_exact(inst, [0])[0]))
 
 
 def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
@@ -515,11 +515,12 @@ def phi_exact(insts: Sequence[ForrelationInstance]) -> list[tuple[int, int, int]
     return out
 
 
-def _dispatch(inst: ForrelationInstance, tables: bool = True) -> tuple[list, list]:
+def _dispatch(inst: ForrelationInstance, read: int = 0) -> tuple[list, list]:
     """inst's components by evaluator, with the functions' masks relabelled
     to a component's qubits (bit i for its (i+1)-th, 0 outside it): (m, the
-    masks' end-table indices) per one of m qubits that _runs_dense, if
-    tables, and (mask, qubits, collapse_layers of the masks) per other."""
+    masks' end-table indices) per one of m qubits that _runs_dense and has no
+    qubit in the mask read, so it is only ever read at index 0, and (mask,
+    qubits, collapse_layers of the masks) per other."""
     out: tuple[list, list] = ([], [])
     for part in _parts([f.mask for f in inst.functions]):
         local = []
@@ -530,7 +531,7 @@ def _dispatch(inst: ForrelationInstance, tables: bool = True) -> tuple[list, lis
                     mask |= 1 << (part & ((1 << (b - 1)) - 1)).bit_count()
             local.append(mask)
         m = part.bit_count()
-        if tables and _runs_dense(m, inst.k):
+        if not part & read and _runs_dense(m, inst.k):
             out[0].append((m, list(map(_end_tables(m)[2].__getitem__, local))))
         else:
             out[1].append((part, _qubits(part), *collapse_layers(local)))
@@ -551,7 +552,8 @@ def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: S
     """The exact (num, den, e) of <z|U_F|0...0>, Phi at z = 0: the product
     of the (m, total) of each table component, worth total over
     sqrt(2^((k+1)m)) (its power of two in den, so num / den stays in float
-    range, as a runner row does) and read at z = 0 only, each runner
+    range, as a runner row does) and read at z = 0 only (_dispatch tables
+    no component that z sets a qubit of), each runner
     Component's entry at z's bits on its qubits, and the free qubits: at odd
     k each ends in |0>, so a z that sets one reads 0, and at even k each
     ends in |+>, worth 2^(-1/2)."""
@@ -737,7 +739,7 @@ def oddk_extend(inst: ForrelationInstance) -> OddKExtension:
     original Phi.  At n = 3 that factor is intrinsic: no block of 7
     restricted functions (any products of <=3 bits, with or without the
     ancilla) preserves Phi for all instances, as an uncommitted exhaustive
-    search showed (ROADMAP item 4); n >= 5 is unchecked.  The returned
+    search showed (ROADMAP item 7); n >= 5 is unchecked.  The returned
     phi_scale reports which contract the caller got.
 
     Instances whose k is already odd are returned unchanged with

@@ -26,7 +26,8 @@ one product with a row of the sign table.
 
 Two ways to run a circuit share that kernel.  run_sign_circuit runs
 forrelation circuits of sign masks with exact arithmetic and one rounding
-left to the caller; every reduced simulation uses it.  collapse_layers
+left to the caller; every component read that the end tables do not
+cover uses it.  collapse_layers
 first drops the identity layers of a circuit, and the runner takes one
 such program alone, or several of the same width and collapsed shape as
 the rows of one block, through one layer loop.  Forrelation reads Phi's

@@ -19,7 +19,7 @@ import pytest
 import kforrelation as kf
 from kforrelation import cli
 from kforrelation.classify import VQC_BIAS_LOWER, VQC_BIAS_UPPER, default_bias, dual_objective
-from kforrelation.forrelation import random_instance
+from kforrelation.forrelation import random_instance, squared
 
 
 def report(num, ok, detail):
@@ -102,8 +102,8 @@ def test_criterion_4_failure_is_the_negatives_zero_margin(promise_datasets):
     for spec, samples in promise_datasets:
         z = kf.negative_target_index(kf.make_negative_sample(spec.n, spec.k, 1, (1, 2, 3)).sample)
         for s in samples:
-            red = kf.simulate_reduced(kf.decode(s.sample))
-            gaps[s.label].append(red.probability(0) - red.probability(z))
+            p0, pz = (squared(*amp) for amp in kf.amplitudes_exact(kf.decode(s.sample), [0, z]))
+            gaps[s.label].append(p0 - pz)
     assert len(gaps[1]) == len(gaps[-1]) == 108
     assert min(gaps[1]) >= 0.25 and max(gaps[-1]) <= 0.0 and default_bias() > 0
 

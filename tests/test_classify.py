@@ -34,8 +34,9 @@ from kforrelation.forrelation import (
     encode,
     indexed_instance,
     instance_of,
+    amplitudes_exact,
     restricted_functions,
-    simulate_reduced,
+    squared,
 )
 
 
@@ -118,7 +119,7 @@ VQC_SHAPES = [(6, 7), (3, 4), (5, 3), (12, 5), (20, 3), (8, 9), (16, 4), (6, 9),
 
 
 def exact_p0(sample):
-    return simulate_reduced(decode(sample)).probability(0)
+    return squared(*amplitudes_exact(decode(sample), [0])[0])
 
 
 def test_witnesses_take_every_evaluator():

@@ -197,12 +197,12 @@ def test_classify_vqc_reads_a_dense_dataset_in_one_block(shots, tmp_path, capsys
     argv, data = gen_args(tmp_path, n=6, k=7, pos=10, neg=10, seed=3)
     assert run_cli(argv, capsys)[0] == 0
 
-    def no_simulation(inst):
+    def no_simulation(inst, zs):
         raise AssertionError("classify --mode vqc simulated a sample")
 
     blocks = dense_blocks(monkeypatch)
-    monkeypatch.setattr(forrelation, "simulate_reduced", no_simulation)
-    monkeypatch.setattr(cli.cls, "simulate_reduced", no_simulation)
+    monkeypatch.setattr(forrelation, "amplitudes_exact", no_simulation)
+    monkeypatch.setattr(cli.cls, "amplitudes_exact", no_simulation)
     argv = ["classify", "--data", data, "--mode", "vqc"] + ([] if shots is None else ["--shots", str(shots)])
     code, stdout, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(stdout.splitlines()[-1])["samples"] == 20
@@ -419,6 +419,15 @@ def test_gen_matches_golden(tmp_path, capsys):
     for g, w in zip(got[1:], want[1:]):
         assert {**g, "phi": None} == {**w, "phi": None}
         assert abs(float(g["phi"]) - float(w["phi"])) <= 1e-12
+
+
+def test_verify_stdout_matches_golden(capsys):
+    # Every max_dev is pinned, not only the PASS prefixes: ansatz_equivalence
+    # reads every amplitude of each instance, so a change to that read which
+    # moved a bit would show here.
+    code, stdout, _ = run_cli(["verify", "--trials", "8"], capsys)
+    assert code == 0
+    assert stdout.encode() == (DATA / "verify_trials8.txt").read_bytes()
 
 
 @pytest.mark.parametrize("n,k,seed", [(6, 7, 11), (8, 5, 4)], ids=["dense", "reduced"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kforrelation import forrelation
 from kforrelation.forrelation import (
     CONSTANT,
     BooleanFunctionSpec,
@@ -30,7 +31,6 @@ from kforrelation.forrelation import (
     sample_from_string,
     simulate_fixed_ansatz,
     simulate_instance,
-    simulate_reduced,
 )
 from kforrelation.qstate import CapacityError, GateKind, controlled_phase, hadamard_all, swap, unitary_of
 
@@ -218,7 +218,8 @@ def test_instance_states_are_float64():
     rng = np.random.default_rng(23)
     for k in (2, 3, 5):
         inst = random_instance(6, k, rng)
-        assert all(c.amps.dtype == np.float64 for c in simulate_reduced(inst).components)
+        runs = forrelation._dispatch(inst, (1 << inst.n) - 1)[1]   # every component
+        assert all(forrelation._run(*program).amps.dtype == np.float64 for program in runs)
         assert simulate_instance(inst).amplitudes.dtype == np.float64
         assert simulate_fixed_ansatz(encode(inst)).amplitudes.dtype == np.float64
 

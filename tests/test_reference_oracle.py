@@ -21,8 +21,9 @@ from kforrelation.forrelation import (
     phi_circuits,
     phi_draws,
     random_instance,
+    amplitudes_exact,
     restricted_functions,
-    simulate_reduced,
+    squared,
 )
 
 
@@ -139,7 +140,7 @@ def test_circuit_paths_round_the_exact_integer_correctly(n, k):
     assert phi_draws(n, draws) == [rounded_phi(t, (k + 1) * n) for t in totals]
     for inst, total in zip(insts, totals):
         assert phi_circuit(inst) == rounded_phi(total, (k + 1) * n)
-        assert simulate_reduced(inst).probability(0) == float(Fraction(total * total, 2 ** ((k + 1) * n)))
+        assert squared(*amplitudes_exact(inst, [0])[0]) == float(Fraction(total * total, 2 ** ((k + 1) * n)))
 
 
 def takes_tables(comp, k):

@@ -22,7 +22,7 @@ from kforrelation.forrelation import (
     CONSTANT,
     Component,
     ForrelationInstance,
-    ReducedState,
+    amplitudes_exact,
     build_circuit,
     components,
     decode,
@@ -36,7 +36,7 @@ from kforrelation.forrelation import (
     restricted_functions,
     simulate_fixed_ansatz,
     simulate_instance,
-    simulate_reduced,
+    squared,
 )
 from kforrelation.qstate import CapacityError, init_zero, phase_flip
 
@@ -89,6 +89,22 @@ def cut(inst):
     return ForrelationInstance(len(support), funcs), scale
 
 
+def runner_components(inst):
+    """A lone runner row per component of inst, as a read of a z that sets
+    a qubit of every component runs them."""
+    return [forrelation._run(*program) for program in forrelation._dispatch(inst, (1 << inst.n) - 1)[1]]
+
+
+def runner_phi(inst):
+    """Phi read at index 0 of runner_components, with no end table."""
+    return forrelation._rounded(*forrelation._exact_of(inst, [], runner_components(inst)))
+
+
+def read_all(inst):
+    """amplitudes_exact at the z that sets every qubit, so every component runs."""
+    return amplitudes_exact(inst, [(1 << inst.n) - 1])
+
+
 def check_against_dense(inst):
     dense = simulate_fixed_ansatz(encode(inst)).amplitudes
     phi = phi_circuit(inst)
@@ -96,12 +112,11 @@ def check_against_dense(inst):
     if inst.k * inst.n <= BRUTE_FORCE_BITS:
         assert phi == phi_bruteforce(inst)   # both round one exact value once
     assert np.max(np.abs(simulate_instance(inst).amplitudes - dense)) <= 1e-12
-    red = simulate_reduced(inst)
-    phi_first = red.amplitude(0)
-    for z in range(1 << inst.n):
-        assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
-        assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
-    assert red.amplitude(0) == phi_first == phi
+    exact = amplitudes_exact(inst, range(1 << inst.n))   # every component runs
+    for z, amp in enumerate(exact):
+        assert forrelation._rounded(*amp) == pytest.approx(float(dense[z]), abs=1e-12)
+        assert squared(*amp) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
+    assert forrelation._rounded(*exact[0]) == phi
 
 
 @SETTINGS
@@ -126,23 +141,22 @@ def test_reduced_matches_dense_and_bruteforce(inst):
 @example(instance_of(12, {10, 11}, {12}, {9}, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {7, 8}), None)  # odd k: 8, 2 and 1 qubits
 @example(instance_of(9, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {7, 8, 9}, ()), None)   # odd k: 9 qubits, ends on a constant
 def test_reads_are_pure_and_exact(inst, random):
-    # Reading z twice gives the same bits, no read writes to a row, and each
-    # component's entry equals, bit for bit, an independent close of its
-    # row: the +-1 transform of a copy, times scale.
-    red = simulate_reduced(inst)
-    rows = [c.amps.copy() for c in red.components]
+    # Reading z twice gives the same exact value, no read writes to a row,
+    # and each component's entry equals, bit for bit, an independent close
+    # of its row: the +-1 transform of a copy, times scale.
+    comps = runner_components(inst)
+    rows = [c.amps.copy() for c in comps]
     closed = [row.copy() for row in rows]
-    for c, row in zip(red.components, closed):
+    for c, row in zip(comps, closed):
         if c.scale:
             qstate._wht_inplace(row, len(c.support))
             row *= c.scale
     for z in [random.randrange(1 << inst.n) for _ in range(8)] if random else range(1 << inst.n):
-        assert red.amplitude(z).hex() == red.amplitude(z).hex()
-        assert red.probability(z).hex() == red.probability(z).hex()
-        for c, row in zip(red.components, closed):
+        assert forrelation._exact_of(inst, [], comps, z) == forrelation._exact_of(inst, [], comps, z)
+        for c, row in zip(comps, closed):
             r = sum(((z >> (q - 1)) & 1) << i for i, q in enumerate(c.support))
             assert c.entry(r) == row[r]
-    assert all(np.array_equal(c.amps, row) for c, row in zip(red.components, rows))
+    assert all(np.array_equal(c.amps, row) for c, row in zip(comps, rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,16 +168,35 @@ def test_reads_are_pure_and_exact(inst, random):
 @example([WIDE, instance_of(8, {1, 2, 3}, {3, 4, 5}, {5, 6, 7}, (), {7, 8}, {2}), WIDE], None)   # rows above the sign table
 def test_batch_equals_one_at_a_time(insts, random):
     # Phi in one batch and one instance at a time give the same bits; each
-    # instance's reduced state reads them at index 0 and the dense run's
+    # instance's amplitude read gives them at index 0 and the dense run's
     # amplitudes and probabilities at random z.
     phis = phi_circuits(insts)
     assert phis == [phi_circuit(inst) for inst in insts]
     for inst, phi in zip(insts, phis, strict=True):
-        red, dense = simulate_reduced(inst), simulate_instance(inst).amplitudes
-        assert red.amplitude(0) == phi
-        for z in [0] + [random.randrange(1 << inst.n) for _ in range(3)] if random else range(1 << inst.n):
-            assert red.amplitude(z) == pytest.approx(float(dense[z]), abs=1e-12)
-            assert red.probability(z) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
+        dense = simulate_instance(inst).amplitudes
+        zs = [0] + [random.randrange(1 << inst.n) for _ in range(3)] if random else range(1 << inst.n)
+        exact = amplitudes_exact(inst, zs)
+        assert forrelation._rounded(*exact[0]) == phi
+        for z, amp in zip(zs, exact):
+            assert forrelation._rounded(*amp) == pytest.approx(float(dense[z]), abs=1e-12)
+            assert squared(*amp) == pytest.approx(float(dense[z]) ** 2, abs=1e-12)
+
+
+@SETTINGS
+@given(instances(n=st.integers(1, 10), k=st.integers(1, 7)), st.integers(0, 1023), st.integers(0, 1023))
+@example(instance_of(5, {1}, {2, 3, 4}, ()), 1, 0b1110)   # odd k: z = 1 touches {1}, which _runs_dense; it reads 1, not 0
+def test_a_read_does_not_depend_on_its_company(inst, z, z2):
+    # Read alone, z runs only the components it sets a qubit of and reads
+    # the others off their end tables; read beside 0 and z2, the components
+    # z2 sets a qubit of run too.  Both give the same bits, and the dense
+    # run's amplitude: a component that z touches is never read off a table.
+    z, z2 = z & ((1 << inst.n) - 1), z2 & ((1 << inst.n) - 1)
+    alone, = amplitudes_exact(inst, [z])
+    among = amplitudes_exact(inst, [0, z, z2])[1]
+    assert forrelation._rounded(*alone) == forrelation._rounded(*among)
+    assert squared(*alone) == squared(*among)
+    dense = float(simulate_instance(inst).amplitudes[z])
+    assert forrelation._rounded(*alone) == pytest.approx(dense, abs=1e-12)
 
 
 def runner_spy(monkeypatch):
@@ -196,7 +229,7 @@ def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch
     widths = runner_spy(monkeypatch)
     phis = phi_circuits(insts)
     assert sorted(widths) == runner_widths(insts) and widths
-    assert phis == [phi_circuit(inst) for inst in insts] == [simulate_reduced(inst).amplitude(0) for inst in insts]
+    assert phis == [phi_circuit(inst) for inst in insts] == list(map(runner_phi, insts))
     for inst, phi in zip(insts, phis):
         if inst.n * inst.k <= BRUTE_FORCE_BITS:
             assert phi == phi_bruteforce(inst)
@@ -220,6 +253,28 @@ def test_dense_rows_run_up_to_k_n_53_and_fall_back_past_it(monkeypatch):
         widths.clear()
         assert [phi_circuit(inst) for inst in insts] == phis
         assert widths == expected
+
+
+def test_qsvm_runs_only_the_components_its_target_touches(monkeypatch):
+    # At (20,3) the target z = 1: a QSVM read runs the component that holds
+    # qubit 1 and each component past the end tables, and reads every other
+    # one off the tables.
+    neg = make_negative_sample(20, 3, 1, (2, 3, 4)).sample
+    assert negative_target_index(neg) == 1   # trained before the spies go on
+    sol = DualSolution(alpha=1.0, bias=0.0, x_plus=neg, x_minus=neg, box_c=1.0)
+    rng = np.random.default_rng(20)
+    widths, tabled, dense_totals = runner_spy(monkeypatch), [], forrelation._dense_totals
+    monkeypatch.setattr(forrelation, "_dense_totals", lambda m, cols: tabled.append(m) or dense_totals(m, cols))
+    kinds = set()
+    for _ in range(40):
+        inst = random_instance(20, 3, rng)
+        widths.clear(), tabled.clear()
+        qsvm_classify(encode(inst), sol)
+        runs = {c: 1 in c or not forrelation._runs_dense(len(c), 3) for c in components(inst)}
+        assert sorted(widths) == sorted(len(c) for c, run in runs.items() if run)
+        assert sorted(tabled) == sorted(len(c) for c, run in runs.items() if not run)
+        kinds |= {"touched" if 1 in c else "wide" if run else "table" for c, run in runs.items()}
+    assert kinds == {"touched", "wide", "table"}
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
@@ -305,8 +360,7 @@ def test_all_constant_instance_keeps_one_qubit(n, k):
 def test_full_support_skips_relabelling(k):
     funcs = [function_of(1, 2, 3), function_of(4, 5), function_of(6), CONSTANT][:k]
     inst = ForrelationInstance(6 if k >= 3 else 5 if k == 2 else 3, tuple(funcs))
-    red = simulate_reduced(inst)
-    assert tuple(q for c in red.components for q in c.support) == tuple(range(1, inst.n + 1))
+    assert tuple(q for c in runner_components(inst) for q in c.support) == tuple(range(1, inst.n + 1))
     check_against_dense(inst)
 
 
@@ -432,7 +486,7 @@ def test_qsvm_pz_is_zero_when_target_qubit_is_free():
     neg = make_negative_sample(5, 3, 1, (1, 2, 3)).sample
     z = negative_target_index(neg)
     assert z == 1 and all(1 not in support for support in components(decode(pos)))
-    assert simulate_reduced(decode(pos)).probability(z) == 0.0
+    assert squared(*amplitudes_exact(decode(pos), [z])[0]) == 0.0
     assert simulate_fixed_ansatz(pos).probabilities()[z] == 0.0
     # decision = alpha * (p0 - pz) + bias: +0.5 when pz = 0, -0.5 were pz read as p0
     sol = DualSolution(alpha=1.0, bias=-0.5, x_plus=pos, x_minus=neg, box_c=1.0)
@@ -478,8 +532,8 @@ def test_long_circuits_stay_in_range(inst):
     # overflow float64 long before the last one.
     dense = simulate_instance(inst).amplitudes
     assert phi_circuit(inst) == pytest.approx(float(dense[0]), abs=1e-12)
-    red = simulate_reduced(inst)
-    assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
+    exact = amplitudes_exact(inst, range(1 << inst.n))
+    assert [forrelation._rounded(*amp) for amp in exact] == pytest.approx(list(dense), abs=1e-12)
 
 
 def test_products_of_many_table_components_stay_in_float_range():
@@ -492,12 +546,12 @@ def test_products_of_many_table_components_stay_in_float_range():
     funcs[1::2] = [function_of(q) for q in range(1, 27)]
     inst = ForrelationInstance(26, tuple(funcs))
     assert list(map(len, components(inst))) == [1] * 26
-    assert phi_circuit(inst) == phi_circuits([inst])[0] == simulate_reduced(inst).amplitude(0) == 1.0
+    assert phi_circuit(inst) == phi_circuits([inst])[0] == runner_phi(inst) == 1.0
     odd = [function_of(27 + j // 2) for j in range(26)] + [function_of(40, 41)]
     funcs[::2] = odd
     inst = ForrelationInstance(41, tuple(funcs))
     assert list(map(len, components(inst))) == [1] * 39 + [2]
-    assert phi_circuit(inst) == phi_circuits([inst, inst])[1] == simulate_reduced(inst).amplitude(0) == 0.5
+    assert phi_circuit(inst) == phi_circuits([inst, inst])[1] == runner_phi(inst) == 0.5
 
 
 @pytest.mark.parametrize("inst, largest", [
@@ -513,8 +567,8 @@ def test_runner_past_two_hadamard_blocks_matches_dense(inst, largest):
     assert inst.n > 2 * qstate.WHT_BLOCK_QUBITS
     assert max(map(len, components(inst))) == largest
     dense = simulate_instance(inst).amplitudes
-    red = simulate_reduced(inst)
-    assert [red.amplitude(z) for z in range(1 << inst.n)] == pytest.approx(list(dense), abs=1e-12)
+    exact = amplitudes_exact(inst, range(1 << inst.n))
+    assert [forrelation._rounded(*amp) for amp in exact] == pytest.approx(list(dense), abs=1e-12)
 
 
 def test_support_above_the_state_cap_raises():
@@ -522,7 +576,7 @@ def test_support_above_the_state_cap_raises():
     inst = instance_of(27, *({2 * i + 1, 2 * i + 2, 2 * i + 3} for i in range(13)))
     assert components(inst) == (tuple(range(1, 28)),)
     with pytest.raises(CapacityError):
-        simulate_reduced(inst)
+        amplitudes_exact(inst, [0])
 
 
 def test_disjoint_support_above_the_state_cap_runs_per_component():
@@ -603,17 +657,17 @@ def test_hadamard_kernel_norm_drift_raises(monkeypatch):
 
     assert list(map(len, components(ONE))) == [4] and list(map(len, components(SPLIT))) == [2, 3]
     for inst in (ONE, SPLIT):
-        simulate_reduced(inst)
+        read_all(inst)
     phi_circuits([WIDE, WIDE])
     generate_dataset(GEN)
     kernel = CountedKernel(drifting)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
-        assert set(kernel_rows(kernel, simulate_reduced, inst)) == {1}   # lone rows
+        assert set(kernel_rows(kernel, read_all, inst)) == {1}   # lone rows
     check_batch_and_gen_raise(kernel)
     kernel = CountedKernel(one_row_drifts)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
-    simulate_reduced(ONE)   # a single state: nothing drifts
+    read_all(ONE)   # a single state: nothing drifts
     assert {rows for rows, _ in kernel.calls} == {1}
     assert set(kernel_rows(kernel, phi_circuits, [WIDE, WIDE])) == {2}
 
@@ -627,7 +681,7 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
     kernel = CountedKernel(poisoned)
     monkeypatch.setattr(qstate, "_wht_inplace", kernel)
     for inst in (ONE, SPLIT):
-        for run in (simulate_reduced, simulate_instance):
+        for run in (read_all, simulate_instance):
             assert set(kernel_rows(kernel, run, inst)) == {1}
     check_batch_and_gen_raise(kernel)
 
@@ -675,9 +729,7 @@ def test_component_entries_are_multiplied_exactly_and_rounded_once(entries, free
         assert forrelation._rounded(num, den, e) == float(exact / Fraction(math.sqrt(2.0)) / 2 ** (e // 2))
     else:
         assert forrelation._rounded(num, den, e) == float(exact / 2 ** (e // 2))
-    red = ReducedState(inst, comps)
-    assert red._entry(0) == (num, den, e) and red.amplitude(0) == forrelation._rounded(num, den, e)
-    assert red.probability(0) == float(exact * exact / 2 ** e)
+    assert squared(num, den, e) == float(exact * exact / 2 ** e)
     assert comps[-1].amps.tolist() == [last, last]   # read, not closed
 
 
@@ -702,4 +754,4 @@ def test_negative_target_outside_the_triple_matches_dense(n, k, data):
     p = simulate_instance(decode(neg)).probabilities()
     z = negative_target_index(neg)
     assert z == 1 << (j - 1) == int(p.argmax())
-    assert simulate_reduced(decode(neg)).probability(z) == 1.0
+    assert squared(*amplitudes_exact(decode(neg), [z])[0]) == 1.0
