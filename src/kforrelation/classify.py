@@ -173,10 +173,10 @@ def negative_target_index(x_minus: EncodedSample) -> int:
 
 @lru_cache(maxsize=16)
 def _target_index(x_minus: EncodedSample) -> int:
-    """forrelation.basis_index, then checked: nonzero, with p_z 1 to 1e-12."""
-    inst = decode(x_minus)
-    z = basis_index(inst)
-    if z == 0 or abs(squared(*amplitudes_exact(inst, [z])[0]) - 1.0) > 1e-12:
+    """forrelation.basis_index, then checked: nonzero, with p_z 1 to 1e-12,
+    squared from the exact amplitude of the same run of every component."""
+    z, exact = basis_index(decode(x_minus))
+    if z == 0 or abs(squared(*exact) - 1.0) > 1e-12:
         raise ValueError("x_minus is not a constructive negative sample")
     return z
 

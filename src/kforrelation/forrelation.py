@@ -21,7 +21,8 @@ and lies in [-1, 1].  This module provides:
   give its bits in bulk, one block per shape, and phi_exact the exact
   values phi_circuits rounds,
 * amplitudes_exact - the exact <z|U_F|0...0> of any basis indices z, and
-  basis_index, the z of a circuit that ends in a basis state,
+  basis_index, the z of a circuit that ends in a basis state, with its
+  exact amplitude off the same rows,
 * simulate_instance - the dense run of U_F on all n qubits,
 * phi_fixed_ansatz- dense simulation of the fixed polynomial-depth ansatz
   that contains every <=3-qubit controlled-phase slot with data-selected
@@ -61,7 +62,14 @@ component split saves no arithmetic, so Phi reads the tables of all n
 qubits, rounded once (_dense_phis); phi_draws reads a (B, k) int array of
 function indices and builds no instance.  Past that, each component of m
 qubits that _runs_dense contributes its exact total and each other one its
-runner entry, and Phi is their exact product (_exact_of) rounded once.
+runner entry, and Phi is their exact product (_exact_of) rounded once.  A
+total depends on m and the component's relabelled masks alone, and draws
+repeat those shapes, so lone reads (amplitudes_exact: phi_circuit past the
+whole-register tables, the QSVM, the kernel and make_negative_sample's
+check) take it from _table_total, a memo of at most MEMO_ENTRIES totals
+keyed by (m, masks); its norm checks run once, when a total is computed, as
+an end-table row's do.  phi_exact's blocks gather the tables as before and
+do not read the memo.
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -95,6 +103,7 @@ from .qstate import (
 BRUTE_FORCE_MAX_BITS = 24   # 2^(k*n) summands; ~1.7e7 at the cap
 BRUTE_FORCE_CHUNK = 1 << 20  # partition size; the exact integer sum makes it invisible
 PHI_BOUND_TOL = 1e-12
+MEMO_ENTRIES = 1 << 12   # per lru memo below: every function's bits at n <= 20; table totals, ~1.1 MB full
 
 
 class MalformedSampleError(ValueError):
@@ -242,7 +251,7 @@ class EncodedSample:
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _block_bits(n: int, mask: int) -> tuple[int, ...]:
     """Bit j of mask as entry j; the cache holds every function of n <= 20."""
     return tuple((mask >> j) & 1 for j in range(n))
@@ -416,31 +425,42 @@ def squared(num: int, den: int, e: int) -> float:
 def amplitudes_exact(inst: ForrelationInstance, zs: Sequence[int]) -> list[tuple[int, int, int]]:
     """The exact (num, den, e) of <z|U_F|0...0> per basis index z of zs, from
     one _dispatch: each component that some z sets a qubit of runs, and each
-    other one is read at index 0, off its end tables where _runs_dense."""
+    other one is read at index 0, its total off the _table_total memo where
+    _runs_dense."""
     read = 0
     for z in zs:
         if not 0 <= z < 1 << inst.n:
             raise ValueError(f"basis index {z} out of range for {inst.n} qubits")
         read |= z
     tables, programs = _dispatch(inst, read)
-    totals = [(m, int(_dense_totals(m, cols))) for m, cols in tables]
+    totals = [(m, _table_total(m, local)) for m, local in tables]
     comps = [_run(*program) for program in programs]
     return [_exact_of(inst, totals, comps, z) for z in zs]
 
 
-def basis_index(inst: ForrelationInstance) -> int:
-    """The z of U_F|0...0> = +-|z>, unchecked, off a run of every component:
-    a closed row is +-e_r, and an open one a multiple of row r of the
-    Sylvester matrix: bit i of r is set iff entries 2^i and 0 differ in sign."""
-    z = 0
-    for comp in (_run(*program) for program in _dispatch(inst, (1 << inst.n) - 1)[1]):
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _table_total(m: int, local: tuple[int, ...]) -> int:
+    """The exact int _dense_totals of a component of m qubits whose
+    functions' relabelled masks are local, norm-checked when first computed.
+    The key carries m: an all-constant instance keeps qubit 1, masks all 0."""
+    index = _end_tables(m)[2]
+    return int(_dense_totals(m, [index[mask] for mask in local]))
+
+
+def basis_index(inst: ForrelationInstance) -> tuple[int, tuple[int, int, int]]:
+    """The z of U_F|0...0> = +-|z>, unchecked, and the exact (num, den, e) of
+    <z|U_F|0...0>, both off one run of every component (_exact_of): a closed
+    row is +-e_r, and an open one a multiple of row r of the Sylvester
+    matrix: bit i of r is set iff entries 2^i and 0 differ in sign."""
+    z, comps = 0, [_run(*program) for program in _dispatch(inst, (1 << inst.n) - 1)[1]]
+    for comp in comps:
         amps = comp.amps
         if comp.scale:
             r = sum(1 << i for i in range(len(comp.support)) if (amps[1 << i] < 0) != (amps[0] < 0))
         else:
             r = int(np.abs(amps).argmax())
         z |= sum(1 << (q - 1) for i, q in enumerate(comp.support) if r >> i & 1)
-    return z
+    return z, _exact_of(inst, [], comps, z)
 
 
 def _run(part: int, support: tuple[int, ...], flips: list[list[int]], open_last: bool) -> Component:
@@ -518,31 +538,35 @@ def phi_exact(insts: Sequence[ForrelationInstance]) -> list[tuple[int, int, int]
 def _dispatch(inst: ForrelationInstance, read: int = 0) -> tuple[list, list]:
     """inst's components by evaluator, with the functions' masks relabelled
     to a component's qubits (bit i for its (i+1)-th, 0 outside it): (m, the
-    masks' end-table indices) per one of m qubits that _runs_dense and has no
-    qubit in the mask read, so it is only ever read at index 0, and (mask,
-    qubits, collapse_layers of the masks) per other."""
+    masks as a tuple, the key of _table_total) per one of m qubits that
+    _runs_dense and has no qubit in the mask read, so it is only ever read
+    at index 0, and (mask, qubits, collapse_layers of the masks) per other."""
     out: tuple[list, list] = ([], [])
-    for part in _parts([f.mask for f in inst.functions]):
+    functions = inst.functions
+    k = len(functions)
+    for part in _parts([f.mask for f in functions]):
         local = []
-        for f in inst.functions:   # a function meets one component, and lies in it
+        for f in functions:   # a function meets one component, and lies in it
             mask = 0
             if f.mask & part:
                 for b in f.bits:   # qubit b is bit i, for the i qubits of part below it
                     mask |= 1 << (part & ((1 << (b - 1)) - 1)).bit_count()
             local.append(mask)
         m = part.bit_count()
-        if not part & read and _runs_dense(m, inst.k):
-            out[0].append((m, list(map(_end_tables(m)[2].__getitem__, local))))
+        if not part & read and _runs_dense(m, k):
+            out[0].append((m, tuple(local)))
         else:
             out[1].append((part, _qubits(part), *collapse_layers(local)))
     return out
 
 
-def _table_totals(tables: Sequence[tuple[int, list[int]]]) -> list[tuple[int, int]]:
-    """(m, exact int _dense_totals) per (m, indices), one block per (m, k)."""
+def _table_totals(tables: Sequence[tuple[int, tuple[int, ...]]]) -> list[tuple[int, int]]:
+    """(m, exact int _dense_totals) per (m, relabelled masks) of _dispatch,
+    one block per (m, k), its masks mapped to end-table indices at once."""
     out: list = [None] * len(tables)
-    for (m, _), idx in _grouped((m, len(cols)) for m, cols in tables).items():
-        for i, total in zip(idx, _dense_totals(m, np.array([tables[i][1] for i in idx]).T).tolist()):
+    for (m, _), idx in _grouped((m, len(local)) for m, local in tables).items():
+        cols = np.asarray(_end_tables(m)[2])[np.array([tables[i][1] for i in idx]).T]
+        for i, total in zip(idx, _dense_totals(m, cols).tolist()):
             out[i] = m, int(total)
     return out
 
@@ -550,16 +574,17 @@ def _table_totals(tables: Sequence[tuple[int, list[int]]]) -> list[tuple[int, in
 def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: Sequence[Component],
               z: int = 0) -> tuple:
     """The exact (num, den, e) of <z|U_F|0...0>, Phi at z = 0: the product
-    of the (m, total) of each table component, worth total over
+    of the (m, total) of each table component (_table_total for a lone
+    read, _table_totals for a block), worth total over
     sqrt(2^((k+1)m)) (its power of two in den, so num / den stays in float
     range, as a runner row does) and read at z = 0 only (_dispatch tables
     no component that z sets a qubit of), each runner
     Component's entry at z's bits on its qubits, and the free qubits: at odd
     k each ends in |0>, so a z that sets one reads 0, and at even k each
     ends in |+>, worth 2^(-1/2)."""
-    num, den, e, covered, seen = 1, 1, 0, 0, 0
+    num, den, e, covered, seen, k = 1, 1, 0, 0, 0, inst.k
     for m, total in tables:
-        num, den, e, covered = num * total, den << (inst.k + 1) * m // 2, e + (inst.k + 1) * m % 2, covered + m
+        num, den, e, covered = num * total, den << (k + 1) * m // 2, e + (k + 1) * m % 2, covered + m
     for comp in comps:
         r = 0
         if z & comp.mask:
@@ -568,7 +593,7 @@ def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: S
             seen |= z & comp.mask
         p, d = comp.entry(r).as_integer_ratio()
         num, den, e, covered = num * p, den * d, e + comp.exponent, covered + len(comp.support)
-    if inst.k % 2:
+    if k % 2:
         return (num, den, e) if z == seen else (0, 1, 0)
     return num, den, e + inst.n - covered
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from kforrelation import forrelation
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -21,3 +23,10 @@ def cli_in_subprocess():
         assert done.returncode == 0, done.stderr
         return done.stdout
     return run
+
+
+@pytest.fixture(autouse=True)
+def fresh_table_memo():
+    """Each test starts with forrelation's table-total memo empty, so what it
+    counts or patches never depends on the tests that ran before it."""
+    forrelation._table_total.cache_clear()

@@ -268,13 +268,26 @@ def test_qsvm_runs_only_the_components_its_target_touches(monkeypatch):
     kinds = set()
     for _ in range(40):
         inst = random_instance(20, 3, rng)
-        widths.clear(), tabled.clear()
+        widths.clear(), tabled.clear(), forrelation._table_total.cache_clear()   # no shape is a memo hit
         qsvm_classify(encode(inst), sol)
         runs = {c: 1 in c or not forrelation._runs_dense(len(c), 3) for c in components(inst)}
         assert sorted(widths) == sorted(len(c) for c, run in runs.items() if run)
         assert sorted(tabled) == sorted(len(c) for c, run in runs.items() if not run)
         kinds |= {"touched" if 1 in c else "wide" if run else "table" for c, run in runs.items()}
     assert kinds == {"touched", "wide", "table"}
+
+
+@pytest.mark.parametrize("n, k, j, triple", [(20, 3, 1, (2, 3, 4)), (12, 5, 7, (1, 2, 3)), (6, 7, 2, (1, 2, 3)),
+                                             (8, 9, 8, (3, 5, 8))])
+def test_target_index_runs_each_component_once(monkeypatch, n, k, j, triple):
+    # An uncached _target_index reads z and the exact p_z off one run of
+    # every component: none runs twice, and none is read off an end table.
+    neg = make_negative_sample(n, k, j, triple).sample
+    classify._target_index.cache_clear()
+    widths, tabled, dense_totals = runner_spy(monkeypatch), [], forrelation._dense_totals
+    monkeypatch.setattr(forrelation, "_dense_totals", lambda m, cols: tabled.append(m) or dense_totals(m, cols))
+    assert classify._target_index(neg) == 1 << (j - 1)
+    assert sorted(widths) == sorted(map(len, components(decode(neg)))) and tabled == []
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, qstate.SIGN_TABLE_QUBITS, qstate.SIGN_TABLE_QUBITS + 2])
@@ -632,6 +645,7 @@ def check_batch_and_gen_raise(kernel):
     assert set(kernel_calls(kernel, phi_circuits, [LONG, LONG])) == {(2, 6)}
     assert kernel_rows(kernel, phi_circuit, LONG) == [1]
     assert set(kernel_calls(kernel, phi_circuits, [WIDE_LONG, WIDE_LONG])) == {(2, 6)}
+    forrelation._table_total.cache_clear()   # a memo hit runs no kernel: the lone read starts cold
     assert kernel_rows(kernel, phi_circuit, WIDE_LONG) == [1]
     assert kernel_calls(kernel, generate_dataset, GEN)[0] == (CHUNK_MIN, 6)
     # Built anew, the end tables go through the kernel, one row per function.
@@ -686,6 +700,22 @@ def test_nan_amplitudes_fail_the_norm_check(monkeypatch):
     check_batch_and_gen_raise(kernel)
 
 
+def test_a_table_memo_hit_runs_no_kernel(monkeypatch):
+    # A hit returns the total that passed its norm checks when it was
+    # computed, as an end-table row does; a miss still runs them and raises.
+    real, phi = qstate._wht_inplace, phi_circuit(WIDE_LONG)
+
+    def drifting(amp, n):
+        real(amp, n)
+        amp *= 1 + 1e-9
+
+    kernel = CountedKernel(drifting)
+    monkeypatch.setattr(qstate, "_wht_inplace", kernel)
+    assert phi_circuit(WIDE_LONG) == phi and kernel.calls == []
+    forrelation._table_total.cache_clear()
+    assert kernel_rows(kernel, phi_circuit, WIDE_LONG) == [1]
+
+
 def test_even_k_free_factor_past_the_float_range_of_its_power_of_two():
     # 1499 free qubits in |+>: their factor 2^-749.5 is a float, 2^1499 is not.
     inst = instance_of(1503, {1, 2, 3}, {3, 1503})
@@ -702,6 +732,45 @@ def test_large_n_phi_equals_scaled_cut_bruteforce(inst):
     if small.n * small.k <= BRUTE_FORCE_BITS:
         assert phi_circuit(inst) == pytest.approx(scale * phi_bruteforce(small), abs=1e-12)
         assert phi_circuit(inst) == phi_bruteforce(small) or inst.k % 2 == 0
+
+
+def rotated(inst, s):
+    """inst with qubit q moved to (q - 1 + s) mod n + 1: a qubit permutation,
+    so Phi is the same exact value."""
+    return ForrelationInstance(inst.n, tuple(function_of(*((b - 1 + s) % inst.n + 1 for b in f.bits))
+                                             for f in inst.functions))
+
+
+def table_keys(inst):
+    """The (m, relabelled masks) of each component Phi reads off its end tables."""
+    return set(forrelation._dispatch(inst)[0])
+
+
+MEMO_RUNNER_QUBITS = 14   # widest runner component the memo test draws, so every draw stays small
+
+
+@SETTINGS
+@given(instances(n=st.integers(7, 40), k=st.integers(1, 9)).filter(
+    lambda inst: max(map(len, components(inst))) <= MEMO_RUNNER_QUBITS), st.integers(0, 39))
+@example(instance_of(7, (), (), ()), 0)   # all constant past n = 6: qubit 1 alone, key (1, (0, 0, 0)), not m = 0
+@example(instance_of(10, {1, 2}, {2}, (), {5}), 4)   # the rotated read finds both shapes at qubits 5, 6 and 9: hits
+@example(instance_of(12, {1, 2}, {2, 3}, {3, 4, 5}, {5, 6}, {1, 6}), 3)   # one (12,5) component of all 5 functions
+def test_table_memo_reads_the_cold_bits(inst, s):
+    # Read cold, each table shape is a miss; read warm, each is a hit, with
+    # the same bits, which a run of every component gives too.  The rotated
+    # instance has the same Phi; it misses only on the shapes the first read
+    # has not memoised.
+    forrelation._table_total.cache_clear()
+    keys, info = table_keys(inst), forrelation._table_total.cache_info
+    cold = phi_circuit(inst)
+    assert (info().misses, info().hits) == (len(keys), 0) and cold == runner_phi(inst)
+    assert phi_circuit(inst) == cold
+    assert (info().misses, info().hits) == (len(keys), len(keys))
+    other = rotated(inst, s % inst.n)
+    assert phi_circuit(other) == cold
+    assert info().misses == len(keys | table_keys(other))
+    if inst.k * inst.n <= BRUTE_FORCE_BITS:
+        assert cold == phi_bruteforce(inst)
 
 
 # ---------------------------------------------------------------------------
