@@ -64,12 +64,11 @@ function indices and builds no instance.  Past that, each component of m
 qubits that _runs_dense contributes its exact total and each other one its
 runner entry, and Phi is their exact product (_exact_of) rounded once.  A
 total depends on m and the component's relabelled masks alone, and draws
-repeat those shapes, so lone reads (amplitudes_exact: phi_circuit past the
-whole-register tables, the QSVM, the kernel and make_negative_sample's
-check) take it from _table_total, a memo of at most MEMO_ENTRIES totals
-keyed by (m, masks); its norm checks run once, when a total is computed, as
-an end-table row's do.  phi_exact's blocks gather the tables as before and
-do not read the memo.
+repeat those shapes, so _dispatch takes every one from _table_total, a memo
+of at most MEMO_ENTRIES totals keyed by (m, masks), for a lone read
+(amplitudes_exact: phi_circuit past the whole-register tables, the QSVM,
+the kernel and make_negative_sample's check) and a batch (phi_exact) alike;
+its norm checks run once, when a total is computed, as an end-table row's do.
 
 phi_bruteforce, simulate_instance and the fixed ansatz take neither
 shortcut: they are the independent references both are checked against.
@@ -425,24 +424,25 @@ def squared(num: int, den: int, e: int) -> float:
 def amplitudes_exact(inst: ForrelationInstance, zs: Sequence[int]) -> list[tuple[int, int, int]]:
     """The exact (num, den, e) of <z|U_F|0...0> per basis index z of zs, from
     one _dispatch: each component that some z sets a qubit of runs, and each
-    other one is read at index 0, its total off the _table_total memo where
-    _runs_dense."""
+    other one is read at index 0, by its table total where _runs_dense."""
     read = 0
     for z in zs:
         if not 0 <= z < 1 << inst.n:
             raise ValueError(f"basis index {z} out of range for {inst.n} qubits")
         read |= z
     tables, programs = _dispatch(inst, read)
-    totals = [(m, _table_total(m, local)) for m, local in tables]
     comps = [_run(*program) for program in programs]
-    return [_exact_of(inst, totals, comps, z) for z in zs]
+    return [_exact_of(inst, tables, comps, z) for z in zs]
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _table_total(m: int, local: tuple[int, ...]) -> int:
     """The exact int _dense_totals of a component of m qubits whose
-    functions' relabelled masks are local, norm-checked when first computed.
-    The key carries m: an all-constant instance keeps qubit 1, masks all 0."""
+    functions' relabelled masks are local, norm-checked when first computed:
+    the one source of every table component's total (_dispatch), so a shape
+    that repeats, within a batch or across reads, is computed once while it
+    stays in the memo.  The key carries m: an all-constant instance keeps
+    qubit 1, masks all 0."""
     index = _end_tables(m)[2]
     return int(_dense_totals(m, [index[mask] for mask in local]))
 
@@ -515,9 +515,10 @@ def phi_circuits(insts: Sequence[ForrelationInstance]) -> list[float]:
 
 def phi_exact(insts: Sequence[ForrelationInstance]) -> list[tuple[int, int, int]]:
     """(num, den, e) per instance, Phi = num / den / sqrt(2^e) exactly.
-    Each (n, k) that _runs_dense is one block of the dense evaluator; the
-    components of all the other instances go through _table_totals and
-    _run_components at once.  Any instance's error raises for the whole list."""
+    Each (n, k) that _runs_dense is one block of the dense evaluator; each
+    other instance takes its table totals from _dispatch, and the runner
+    components of all of them go through _run_components at once.  Any
+    instance's error raises for the whole list."""
     out: list = [None] * len(insts)
     parts = {}   # per instance past the whole-register tables: its _dispatch
     for (n, k), idx in _grouped((inst.n, inst.k) for inst in insts).items():
@@ -528,19 +529,19 @@ def phi_exact(insts: Sequence[ForrelationInstance]) -> list[tuple[int, int, int]
         draws = np.array([[index[f.mask] for f in insts[i].functions] for i in idx])
         for i, total in zip(idx, _dense_totals(n, draws.T).tolist()):
             out[i] = _exact_of(insts[i], [(n, int(total))], [])
-    totals = iter(_table_totals([table for tables, _ in parts.values() for table in tables]))
     comps = iter(_run_components([program for _, programs in parts.values() for program in programs]))
     for i, (tables, programs) in parts.items():
-        out[i] = _exact_of(insts[i], [next(totals) for _ in tables], [next(comps) for _ in programs])
+        out[i] = _exact_of(insts[i], tables, [next(comps) for _ in programs])
     return out
 
 
 def _dispatch(inst: ForrelationInstance, read: int = 0) -> tuple[list, list]:
     """inst's components by evaluator, with the functions' masks relabelled
     to a component's qubits (bit i for its (i+1)-th, 0 outside it): (m, the
-    masks as a tuple, the key of _table_total) per one of m qubits that
-    _runs_dense and has no qubit in the mask read, so it is only ever read
-    at index 0, and (mask, qubits, collapse_layers of the masks) per other."""
+    exact total _table_total keeps for m and the masks) per one of m qubits
+    that _runs_dense and has no qubit in the mask read, so it is only ever
+    read at index 0, and (mask, qubits, collapse_layers of the masks) per
+    other."""
     out: tuple[list, list] = ([], [])
     functions = inst.functions
     k = len(functions)
@@ -554,34 +555,22 @@ def _dispatch(inst: ForrelationInstance, read: int = 0) -> tuple[list, list]:
             local.append(mask)
         m = part.bit_count()
         if not part & read and _runs_dense(m, k):
-            out[0].append((m, tuple(local)))
+            out[0].append((m, _table_total(m, tuple(local))))
         else:
             out[1].append((part, _qubits(part), *collapse_layers(local)))
-    return out
-
-
-def _table_totals(tables: Sequence[tuple[int, tuple[int, ...]]]) -> list[tuple[int, int]]:
-    """(m, exact int _dense_totals) per (m, relabelled masks) of _dispatch,
-    one block per (m, k), its masks mapped to end-table indices at once."""
-    out: list = [None] * len(tables)
-    for (m, _), idx in _grouped((m, len(local)) for m, local in tables).items():
-        cols = np.asarray(_end_tables(m)[2])[np.array([tables[i][1] for i in idx]).T]
-        for i, total in zip(idx, _dense_totals(m, cols).tolist()):
-            out[i] = m, int(total)
     return out
 
 
 def _exact_of(inst: ForrelationInstance, tables: list[tuple[int, int]], comps: Sequence[Component],
               z: int = 0) -> tuple:
     """The exact (num, den, e) of <z|U_F|0...0>, Phi at z = 0: the product
-    of the (m, total) of each table component (_table_total for a lone
-    read, _table_totals for a block), worth total over
-    sqrt(2^((k+1)m)) (its power of two in den, so num / den stays in float
-    range, as a runner row does) and read at z = 0 only (_dispatch tables
-    no component that z sets a qubit of), each runner
-    Component's entry at z's bits on its qubits, and the free qubits: at odd
-    k each ends in |0>, so a z that sets one reads 0, and at even k each
-    ends in |+>, worth 2^(-1/2)."""
+    of the (m, total) of each table component (from _dispatch, or the whole
+    register's from phi_exact), worth total over sqrt(2^((k+1)m)) (its power
+    of two in den, so num / den stays in float range, as a runner row does)
+    and read at z = 0 only (_dispatch tables no component that z sets a
+    qubit of), each runner Component's entry at z's bits on its qubits, and
+    the free qubits: at odd k each ends in |0>, so a z that sets one reads
+    0, and at even k each ends in |+>, worth 2^(-1/2)."""
     num, den, e, covered, seen, k = 1, 1, 0, 0, 0, inst.k
     for m, total in tables:
         num, den, e, covered = num * total, den << (k + 1) * m // 2, e + (k + 1) * m % 2, covered + m

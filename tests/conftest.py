@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from kforrelation import forrelation
+from kforrelation.forrelation import components
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,3 +31,20 @@ def fresh_table_memo():
     """Each test starts with forrelation's table-total memo empty, so what it
     counts or patches never depends on the tests that ran before it."""
     forrelation._table_total.cache_clear()
+
+
+def off_tables(qubits, k):
+    """Whether Phi reads `qubits` qubits of a k-function instance (all n of
+    them, or one component's) off the dense end tables rather than the
+    runner: the sign table holds 6 qubits, and a total of k*qubits bits must
+    fit float64's 53-bit significand.  Restated here, not read off
+    forrelation._runs_dense, so the tests check that rule independently."""
+    return qubits <= 6 and k * qubits <= 53
+
+
+def evaluators(inst):
+    """The evaluators Phi reads inst with: {"whole"} for the whole-register
+    tables, else "table" or "runner" per component."""
+    if off_tables(inst.n, inst.k):
+        return {"whole"}
+    return {"table" if off_tables(len(c), inst.k) else "runner" for c in components(inst)}

@@ -38,6 +38,7 @@ from kforrelation.forrelation import (
     restricted_functions,
     squared,
 )
+from conftest import evaluators
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +124,8 @@ def exact_p0(sample):
 
 
 def test_witnesses_take_every_evaluator():
-    def kinds(inst):   # the whole register, a table component, a runner component
-        if inst.n <= 6 and inst.n * inst.k <= 53:
-            return {"whole"}
-        return {"table" if len(c) <= 6 and inst.k * len(c) <= 53 else "runner" for c in components(inst)}
-    assert [kinds(inst) for inst in WITNESSES] == [{"whole"}, {"table", "runner"}, {"table", "runner"},
-                                                  {"runner"}, {"table"}]
+    assert [evaluators(inst) for inst in WITNESSES] == [{"whole"}, {"table", "runner"}, {"table", "runner"},
+                                                       {"runner"}, {"table"}]
     assert WITNESSES[2].k % 2 == 0 and sum(map(len, components(WITNESSES[2]))) < WITNESSES[2].n
 
 

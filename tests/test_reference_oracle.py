@@ -25,6 +25,7 @@ from kforrelation.forrelation import (
     restricted_functions,
     squared,
 )
+from conftest import off_tables
 
 
 def phi_naive(inst):
@@ -143,12 +144,6 @@ def test_circuit_paths_round_the_exact_integer_correctly(n, k):
         assert squared(*amplitudes_exact(inst, [0])[0]) == float(Fraction(total * total, 2 ** ((k + 1) * n)))
 
 
-def takes_tables(comp, k):
-    """Whether phi_circuit reads a component of an instance past the
-    whole-register tables off the end tables of its own qubits."""
-    return len(comp) <= 6 and k * len(comp) <= 53
-
-
 # Past the whole-register tables, each component is read off the end tables
 # of its own qubits or, past 6 qubits, run.  (20,3) draws take one or the
 # other, (16,4) draws also take both in one instance and leave free qubits
@@ -161,7 +156,7 @@ CHAIN7 = instance_of(7, {1, 2, 3}, {3, 4, 5}, {5, 6, 7})
 def test_component_tables_and_runner_round_the_exact_integer(n, k, count):
     rng = np.random.default_rng(n * k)
     insts = [random_instance(n, k, rng) for _ in range(count)] + ([CHAIN7] if n == 7 else [])
-    kinds = {tuple(sorted({takes_tables(c, k) for c in components(inst)})) for inst in insts}
+    kinds = {tuple(sorted({off_tables(len(c), k) for c in components(inst)})) for inst in insts}
     assert {(True,), (False,)} <= kinds and ((False, True) in kinds) == (n == 16)
     expected = [rounded_phi(*exact_cut(inst)) for inst in insts]
     draws = np.array([[restricted_functions(n).index(f) for f in inst.functions] for inst in insts])

@@ -39,6 +39,7 @@ from kforrelation.forrelation import (
     squared,
 )
 from kforrelation.qstate import CapacityError, init_zero, phase_flip
+from conftest import off_tables
 
 BRUTE_FORCE_BITS = 24   # k*n up to which Phi is also summed exhaustively (about 1 s at the cap)
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -211,10 +212,9 @@ def runner_spy(monkeypatch):
 
 def runner_widths(insts):
     """The qubit counts of the components Phi runs: those of instances past
-    the whole-register tables (n > 6 or k*n > 53) that are past the
-    component tables too (m > 6 or k*m > 53)."""
-    return sorted(len(c) for inst in insts if inst.n > qstate.SIGN_TABLE_QUBITS or inst.n * inst.k > 53
-                  for c in components(inst) if len(c) > qstate.SIGN_TABLE_QUBITS or len(c) * inst.k > 53)
+    the whole-register tables that are past their own tables too."""
+    return sorted(len(c) for inst in insts if not off_tables(inst.n, inst.k)
+                  for c in components(inst) if not off_tables(len(c), inst.k))
 
 
 def test_phi_of_a_mixed_list_takes_dense_rows_where_k_n_fits_53_bits(monkeypatch):
@@ -270,7 +270,7 @@ def test_qsvm_runs_only_the_components_its_target_touches(monkeypatch):
         inst = random_instance(20, 3, rng)
         widths.clear(), tabled.clear(), forrelation._table_total.cache_clear()   # no shape is a memo hit
         qsvm_classify(encode(inst), sol)
-        runs = {c: 1 in c or not forrelation._runs_dense(len(c), 3) for c in components(inst)}
+        runs = {c: 1 in c or not off_tables(len(c), 3) for c in components(inst)}
         assert sorted(widths) == sorted(len(c) for c, run in runs.items() if run)
         assert sorted(tabled) == sorted(len(c) for c, run in runs.items() if not run)
         kinds |= {"touched" if 1 in c else "wide" if run else "table" for c, run in runs.items()}
@@ -641,12 +641,14 @@ def check_batch_and_gen_raise(kernel):
     assert set(kernel_rows(kernel, phi_circuits, [WIDE, WIDE])) == {2}
     # Dense, on all 6 qubits: LONG twice as one block of the middle layers,
     # not its components, LONG alone as one row, and the first chunk
-    # of gen's draws as one block.  WIDE_LONG's component the same way.
+    # of gen's draws as one block.  WIDE_LONG's component is a table total,
+    # one row whether read in a batch or alone: the batch computes it once
+    # and its second copy would be a memo hit.
     assert set(kernel_calls(kernel, phi_circuits, [LONG, LONG])) == {(2, 6)}
     assert kernel_rows(kernel, phi_circuit, LONG) == [1]
-    assert set(kernel_calls(kernel, phi_circuits, [WIDE_LONG, WIDE_LONG])) == {(2, 6)}
-    forrelation._table_total.cache_clear()   # a memo hit runs no kernel: the lone read starts cold
-    assert kernel_rows(kernel, phi_circuit, WIDE_LONG) == [1]
+    forrelation._table_total.cache_clear()   # a memo hit runs no kernel: each read starts cold
+    assert kernel_calls(kernel, phi_circuits, [WIDE_LONG, WIDE_LONG]) == [(1, 6)]
+    assert kernel_rows(kernel, phi_circuit, WIDE_LONG) == [1]   # the failed total was not memoised
     assert kernel_calls(kernel, generate_dataset, GEN)[0] == (CHUNK_MIN, 6)
     # Built anew, the end tables go through the kernel, one row per function.
     forrelation._end_tables.cache_clear()
@@ -742,8 +744,11 @@ def rotated(inst, s):
 
 
 def table_keys(inst):
-    """The (m, relabelled masks) of each component Phi reads off its end tables."""
-    return set(forrelation._dispatch(inst)[0])
+    """The (m, relabelled masks) of each component Phi reads off its end
+    tables, taken from _dispatch's calls with the memo patched out, so
+    neither its entries nor its counts move."""
+    with mock.patch.object(forrelation, "_table_total", lambda m, local: (m, local)):
+        return {key for _, key in forrelation._dispatch(inst)[0]}
 
 
 MEMO_RUNNER_QUBITS = 14   # widest runner component the memo test draws, so every draw stays small
@@ -759,18 +764,43 @@ def test_table_memo_reads_the_cold_bits(inst, s):
     # Read cold, each table shape is a miss; read warm, each is a hit, with
     # the same bits, which a run of every component gives too.  The rotated
     # instance has the same Phi; it misses only on the shapes the first read
-    # has not memoised.
+    # has not memoised.  A batch shares the memo: read cold, the pair misses
+    # once per shape, and the lone reads after it are hits only.
     forrelation._table_total.cache_clear()
-    keys, info = table_keys(inst), forrelation._table_total.cache_info
+    other = rotated(inst, s % inst.n)
+    keys, others, info = table_keys(inst), table_keys(other), forrelation._table_total.cache_info
     cold = phi_circuit(inst)
     assert (info().misses, info().hits) == (len(keys), 0) and cold == runner_phi(inst)
     assert phi_circuit(inst) == cold
     assert (info().misses, info().hits) == (len(keys), len(keys))
-    other = rotated(inst, s % inst.n)
     assert phi_circuit(other) == cold
-    assert info().misses == len(keys | table_keys(other))
+    assert info().misses == len(keys | others)
+    forrelation._table_total.cache_clear()
+    assert phi_circuits([inst, other]) == [cold, cold]
+    assert (info().misses, info().hits) == (len(keys | others), len(keys & others))
+    assert phi_circuit(inst) == phi_circuit(other) == cold
+    assert (info().misses, info().hits) == (len(keys | others), len(keys & others) + len(keys) + len(others))
     if inst.k * inst.n <= BRUTE_FORCE_BITS:
         assert cold == phi_bruteforce(inst)
+
+
+def test_a_batch_computes_each_table_shape_once(monkeypatch):
+    # Two instances of one batch whose components share their keys on other
+    # qubits ({1, 2} and {5} against {5, 6} and {9}): _dense_totals computes
+    # one total per key, a row of k indices, and the second instance reads
+    # both off the memo.
+    inst = instance_of(10, {1, 2}, {2}, (), {5})
+    other = rotated(inst, 4)
+    keys = table_keys(inst)
+    assert table_keys(other) == keys and sorted(m for m, _ in keys) == [1, 2]
+    phi, tabled, dense_totals = runner_phi(inst), [], forrelation._dense_totals
+
+    def counted(m, cols):   # m once per total: a block's cols hold one column of k indices per total
+        tabled.extend([m] * (np.size(cols) // len(cols)))
+        return dense_totals(m, cols)
+    monkeypatch.setattr(forrelation, "_dense_totals", counted)
+    assert phi_circuits([inst, other]) == [phi, phi]
+    assert sorted(tabled) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
